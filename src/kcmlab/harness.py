@@ -127,8 +127,9 @@ def _write_bootstrap_csv(path: str, config: ExperimentConfig, q: float) -> Dict[
     }
 
 
-def exact_report(family: UpdateFamily, box: int, q: float) -> Dict[str, object]:
-    region = region_for(family, box)
+def exact_region_report(family: UpdateFamily, region: Region, q: float) -> Dict[str, object]:
+    """Gap, relaxation time and E_mu(tau0) on a region with the family's
+    frozen boundary, plus the solvers' residuals."""
     boundary = frozen_boundary_for(family, region)
     gen = build_generator(family, region, q, exterior=boundary)
     sg = spectral_gap(gen)
@@ -140,6 +141,11 @@ def exact_report(family: UpdateFamily, box: int, q: float) -> Dict[str, object]:
         "ratio_check": bool(q * mh["e_mu_tau0"] <= sg["t_rel"] * (1 + 1e-12)),
         "residuals": {"eigen": sg["residual"], "hitting": mh["residual"]},
     }
+
+
+def exact_report(family: UpdateFamily, box: int, q: float) -> Dict[str, object]:
+    """``exact_region_report`` on the sweep window ``region_for(family, box)``."""
+    return exact_region_report(family, region_for(family, box), q)
 
 
 def _write_exact_json(path: str, config: ExperimentConfig, q: float) -> Dict[str, object]:

@@ -8,8 +8,11 @@ is 1 regardless of the constraint.  Rings are produced by a single
 aggregate exponential clock plus a uniform site choice, which has the same
 law as per-site clocks by superposition of Poisson processes.
 
-The inner event loop is compiled with numba when available; a pure-Python
-twin with identical semantics serves as fallback and as a test oracle.
+The array-based inner event loop ``_event_loop`` is compiled with numba
+when available.  Without numba the loop runs as ``_event_loop_lists``, which
+works on Python lists and per-site rule tuples and so avoids numpy scalar
+access on every ring.  Both consume the same pre-drawn randoms and give
+identical trajectories; each serves as the other's test oracle.
 """
 
 from __future__ import annotations
@@ -95,8 +98,10 @@ class Dynamics:
         site_ptr = [0]
         rule_ptr = [0]
         neighbors: List[int] = []
+        site_rules: List[Tuple[Tuple[int, ...], ...]] = []
         for s in self.sites:
             a, b = s
+            rules = []
             for rule in family.rules:
                 nbrs = []
                 dead = False
@@ -111,16 +116,21 @@ class Dynamics:
                     continue
                 neighbors.extend(nbrs)
                 rule_ptr.append(len(neighbors))
+                rules.append(tuple(nbrs))
             site_ptr.append(len(rule_ptr) - 1)
+            site_rules.append(tuple(rules))
         self.site_ptr = np.asarray(site_ptr, dtype=np.int64)
         self.rule_ptr = np.asarray(rule_ptr, dtype=np.int64)
         self.neighbors = np.asarray(neighbors, dtype=np.int64)
+        # the same tables as tuples: site_rules[i] holds one tuple of
+        # neighbour indices per live rule of site i
+        self.site_rules = site_rules
         self.n = n
 
     def constraint(self, state: np.ndarray, i: int) -> bool:
         for r in range(self.site_ptr[i], self.site_ptr[i + 1]):
             lo, hi = self.rule_ptr[r], self.rule_ptr[r + 1]
-            if not state[lo:hi].any():
+            if not state[self.neighbors[lo:hi]].any():
                 return True
         return False
 
@@ -190,6 +200,44 @@ def _event_loop(
     return _STATUS_EXHAUSTED, t, events, legal, nb
 
 
+def _event_loop_lists(state, site_rules, origin, q, t, t_max, mode, dts, picks, coins):
+    """Pure-Python twin of ``_event_loop`` with the same arguments and
+    return value, except that the constraint tables come as
+    ``Dynamics.site_rules``.  Ring times are one cumulative sum (numpy
+    accumulates sequentially, so they equal ``t += dt`` bit for bit) and
+    the rings past ``t_max`` are cut before the loop starts."""
+    times = np.cumsum(np.concatenate(([t], dts)))[1:]
+    stop = int(np.searchsorted(times, t_max, side="right"))
+    st = state.tolist()
+    picks_l = picks[:stop].tolist()
+    new_l = (coins[:stop] >= q).astype(np.int8).tolist()
+    stop_at_update = mode == MODE_PERSISTENCE
+    stop_at_empty = mode == MODE_TAU0
+    legal = 0
+    hit = -1
+    for k, i in enumerate(picks_l):
+        for rule in site_rules[i]:
+            for j in rule:
+                if st[j]:
+                    break
+            else:
+                break
+        else:
+            continue
+        legal += 1
+        v = new_l[k]
+        st[i] = v
+        if i == origin and (stop_at_update or (stop_at_empty and v == 0)):
+            hit = k
+            break
+    state[:] = st
+    if hit >= 0:
+        return _STATUS_HIT, float(times[hit]), hit + 1, legal, hit + 1
+    if stop < dts.shape[0]:
+        return _STATUS_TMAX, t_max, stop, legal, stop
+    return _STATUS_EXHAUSTED, float(times[-1]), stop, legal, stop
+
+
 _BATCH = 1 << 14
 
 
@@ -215,20 +263,25 @@ def _run(
         dts = rng.exponential(1.0 / n, size=batch)
         picks = rng.integers(0, n, size=batch)
         coins = rng.random(batch)
-        status, t, ev, lg, _ = _event_loop(
-            state,
-            dyn.site_ptr,
-            dyn.rule_ptr,
-            dyn.neighbors,
-            origin_idx,
-            q,
-            t,
-            t_max,
-            mode,
-            dts,
-            picks,
-            coins,
-        )
+        if _HAVE_NUMBA:
+            status, t, ev, lg, _ = _event_loop(
+                state,
+                dyn.site_ptr,
+                dyn.rule_ptr,
+                dyn.neighbors,
+                origin_idx,
+                q,
+                t,
+                t_max,
+                mode,
+                dts,
+                picks,
+                coins,
+            )
+        else:
+            status, t, ev, lg, _ = _event_loop_lists(
+                state, dyn.site_rules, origin_idx, q, t, t_max, mode, dts, picks, coins
+            )
         events += ev
         legal += lg
         if status != _STATUS_EXHAUSTED:

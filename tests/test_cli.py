@@ -4,6 +4,8 @@ import pytest
 from click.testing import CliRunner
 
 from kcmlab.cli import main
+from kcmlab.families import builtin_family
+from kcmlab.harness import exact_report
 
 
 @pytest.fixture
@@ -128,6 +130,28 @@ class TestExact:
         assert set(out) == {"gap", "t_rel", "e_mu_tau0", "ratio_check", "residuals"}
         assert out["ratio_check"] is True
         assert out["gap"] > 0
+
+    def test_small_q_succeeds(self, runner):
+        result = invoke(runner, ["exact", "--family", "east1d", "--q", "0.03", "--box", "8x1"])
+        assert result.exit_code == 0
+        out = json.loads(result.output)
+        assert abs(out["e_mu_tau0"] - 343287.72299353481505) <= 1e-9 * out["e_mu_tau0"]
+
+    def test_rectangle_matches_harness(self, runner):
+        result = invoke(runner, ["exact", "--family", "duarte", "--q", "0.3", "--box", "3x3"])
+        assert json.loads(result.output) == exact_report(builtin_family("duarte"), 3, 0.3)
+
+    @pytest.mark.parametrize("args, message", [
+        (["--box", "15x1", "--q", "0.3"], "exceeds cap"),
+        (["--box", "4x1", "--q", "1.5"], "q must lie in (0,1)"),
+    ])
+    def test_bad_input_is_clean_error(self, runner, args, message):
+        result = runner.invoke(main, ["exact", "--family", "east1d", *args])
+        assert result.exit_code == 1
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("Error: ")
+        assert message in lines[0]
 
 
 class TestSmallCommands:

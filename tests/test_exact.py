@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kcmlab.exact import (
     ReducibleChainError,
@@ -38,6 +40,37 @@ def east_chain_generator(length, q):
     return build_generator(EAST1, region, q, exterior=frozen_boundary_for(EAST1, region))
 
 
+def duarte_box_generator(w, h, q):
+    region = Region.rectangle(-w + 1, 0, -h + 1, 0)
+    return build_generator(DUARTE, region, q, exterior=frozen_boundary_for(DUARTE, region))
+
+
+def double_loop_generator(gen):
+    """(L, mu) assembled state by state and site by site from the compiled
+    rule masks, accumulating each diagonal entry over the sites in order."""
+    n, size, q = gen.space.n, gen.space.size, gen.q
+    p = 1.0 - q
+    rows, cols, vals = [], [], []
+    for state in range(size):
+        total = 0.0
+        for i in range(n):
+            if not any(state & m == m for m in gen.site_masks[i]):
+                continue
+            bit = 1 << i
+            rate = p if state & bit else q
+            rows.append(state)
+            cols.append(state ^ bit)
+            vals.append(rate)
+            total += rate
+        if total:
+            rows.append(state)
+            cols.append(state)
+            vals.append(-total)
+    L = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
+    counts = np.array([bin(s).count("1") for s in range(size)])
+    return L, (p ** (n - counts)) * (q ** counts)
+
+
 class TestGeneratorStructure:
     def test_row_sums_vanish(self):
         gen = east_chain_generator(3, 0.3)
@@ -53,6 +86,19 @@ class TestGeneratorStructure:
     def test_measure_normalized(self):
         gen = east_chain_generator(5, 0.2)
         assert abs(gen.mu.sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize(
+        "family, w, h", [("east", n, 1) for n in range(1, 11)] + [("duarte", 3, 3), ("duarte", 3, 4)]
+    )
+    def test_bit_identical_to_double_loop(self, family, w, h):
+        for q in (0.3, 0.03):
+            gen = east_chain_generator(w, q) if family == "east" else duarte_box_generator(w, h, q)
+            L, mu = double_loop_generator(gen)
+            for name in ("data", "indices", "indptr"):
+                got, want = getattr(gen.L, name), getattr(L, name)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+            assert np.array_equal(gen.mu, mu)
 
     def test_state_space_cap(self):
         region = Region.rectangle(0, 14, 0, 0)
@@ -85,17 +131,31 @@ class TestSpectralGap:
         assert out["component_size"] == 4
 
     def test_matches_dense_eig_oracle(self):
-        for length, q in [(2, 0.3), (3, 0.45), (4, 0.2)]:
-            gen = east_chain_generator(length, q)
-            out = spectral_gap(gen)
-            comp = ergodic_component(gen)
-            Lc = gen.L[np.ix_(comp, comp)].toarray()
-            mu = gen.mu[comp] / gen.mu[comp].sum()
-            d = np.sqrt(mu)
-            sym = (d[:, None] * (-Lc)) / d[None, :]
-            evals = np.linalg.eigvalsh(0.5 * (sym + sym.T))
-            assert abs(out["gap"] - evals[1]) < 1e-9
-            assert abs(evals[0]) < 1e-10
+        for q in (0.45, 0.3, 0.2, 0.15, 0.03):
+            gens = [east_chain_generator(n, q) for n in range(2, 11)]
+            gens.append(duarte_box_generator(3, 3, q))
+            for gen in gens:
+                out = spectral_gap(gen)
+                comp = ergodic_component(gen)
+                Lc = gen.L[np.ix_(comp, comp)].toarray()
+                mu = gen.mu[comp] / gen.mu[comp].sum()
+                d = np.sqrt(mu)
+                sym = (d[:, None] * (-Lc)) / d[None, :]
+                evals = np.linalg.eigvalsh(0.5 * (sym + sym.T))
+                assert abs(out["gap"] - evals[1]) <= 1e-9 * evals[1]
+                assert abs(evals[0]) < 1e-10
+
+    def test_no_dense_copy(self):
+        # a dense copy of S on these 4096 states alone takes 128 MiB
+        gen = east_chain_generator(12, 0.3)
+        tracemalloc.start()
+        try:
+            spectral_gap(gen)
+            mean_hitting(gen)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
     def test_gap_decreases_with_length(self):
         gaps = [spectral_gap(east_chain_generator(n, 0.25))["gap"] for n in (1, 3, 5)]
@@ -152,6 +212,24 @@ class TestMeanHitting:
         results, summary = batch_tau0(params, trials=3000)
         assert summary.censor_fraction == 0.0
         assert abs(summary.mean - exact) < 4 * summary.standard_error
+
+    def test_small_q_matches_mpmath(self):
+        # 40-digit solve of the same system with mpmath
+        out = mean_hitting(east_chain_generator(8, 0.03))
+        assert abs(out["e_mu_tau0"] - 343287.72299353481505) <= 1e-9 * 343287.72299353481505
+        assert out["residual"] < 1e-14
+
+    def test_residual_is_relative_backward_error(self):
+        gen = east_chain_generator(12, 0.05)
+        out = mean_hitting(gen)
+        ac = np.flatnonzero((np.arange(gen.space.size) & gen.space.origin_bit) == 0)
+        M = -gen.L[ac][:, ac]
+        u = out["per_state"][ac]
+        m_norm = np.max(abs(M).sum(axis=1))
+        want = np.max(np.abs(M @ u - 1)) / (m_norm * np.max(np.abs(u)) + 1)
+        assert out["residual"] == pytest.approx(want, rel=1e-12)
+        assert out["residual"] < 1e-14
+        assert out["e_mu_tau0"] > 1e5
 
     def test_unreachable_target_raises(self):
         gen = build_generator(EAST1, Region([(0, 0)]), 0.5, exterior=ALL_HEALTHY)

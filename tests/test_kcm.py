@@ -5,8 +5,8 @@ import pytest
 from scipy.linalg import expm
 
 from kcmlab.exact import build_generator
-from kcmlab.families import builtin_family
-from kcmlab.geometry import ALL_HEALTHY, Region
+from kcmlab.families import builtin_family, constraint_satisfied
+from kcmlab.geometry import ALL_HEALTHY, Configuration, Region
 from kcmlab.kcm import (
     SimParams,
     batch_tau0,
@@ -50,6 +50,19 @@ class TestDynamicsCompilation:
         assert not dyn.constraint(state, 2)
         state[1] = 0
         assert dyn.constraint(state, 2)
+
+    def test_constraint_matches_configuration_check(self, rng):
+        # on a Duarte box neighbour k of a rule is not site k, unlike on an
+        # East chain
+        region = Region.rectangle(-3, 0, -3, 0)
+        boundary = frozen_boundary_for(DUARTE, region)
+        dyn = make_dynamics(SimParams(DUARTE, 0.5, region, boundary))
+        for _ in range(200):
+            state = (rng.random(dyn.n) >= 0.5).astype(np.int8)
+            empty = [s for s, v in zip(dyn.sites, state) if v == 0]
+            config = Configuration(region, empty, boundary)
+            for i, site in enumerate(dyn.sites):
+                assert dyn.constraint(state, i) == constraint_satisfied(config, DUARTE, site)
 
     def test_healthy_exterior_drops_rules(self):
         region = Region([(0, 0)])
@@ -243,3 +256,42 @@ class TestValidation:
             SimParams(EAST1, 0.5, region, t_max=0.0)
         with pytest.raises(ValueError):
             SimParams(EAST1, 0.5, region, origin=(9, 9))
+
+
+@pytest.mark.parametrize(
+    "family,region",
+    [
+        (EAST1, east_chain_region(30)),
+        (DUARTE, Region.rectangle(0, 0, 4, 4)),
+        (builtin_family("east2d"), Region.rectangle(0, 0, 3, 3)),
+    ],
+    ids=["east1d", "duarte", "east2d"],
+)
+def test_list_event_loop_matches_array_loop(family, region):
+    """Both event loops return the same status, time, counts and final
+    state on identical pre-drawn randoms, in every mode."""
+    from kcmlab.kcm import Dynamics, _event_loop, _event_loop_lists
+
+    dyn = Dynamics(family, region, frozen_boundary_for(family, region))
+    rng = np.random.default_rng(17)
+    statuses = set()
+    for _ in range(150):
+        q = float(rng.uniform(0.05, 0.9))
+        nb = int(rng.integers(1, 2000))
+        state = (rng.random(dyn.n) >= q).astype(np.int8)
+        dts = rng.exponential(1.0 / dyn.n, size=nb)
+        picks = rng.integers(0, dyn.n, size=nb)
+        coins = rng.random(nb)
+        t = float(rng.random())
+        t_max = t + float(rng.uniform(0.0, 1.5 * nb / dyn.n))
+        mode = int(rng.integers(0, 3))
+        origin = int(rng.integers(0, dyn.n))
+        a, b = state.copy(), state.copy()
+        ra = _event_loop(a, dyn.site_ptr, dyn.rule_ptr, dyn.neighbors,
+                         origin, q, t, t_max, mode, dts, picks, coins)
+        rb = _event_loop_lists(b, dyn.site_rules, origin, q, t, t_max,
+                               mode, dts, picks, coins)
+        assert tuple(ra) == tuple(rb)
+        assert np.array_equal(a, b)
+        statuses.add(ra[0])
+    assert statuses == {0, 1, 2}
