@@ -4,7 +4,9 @@ Two engines compute the same closure: a synchronous stepper (the defining
 iteration, kept as the oracle) and a generation-layered work queue that only
 re-examines neighbours of newly infected sites.  Both honour finite-volume
 semantics: infection lives on the region plus the zero sites of a fixed
-boundary condition, and everything beyond stays healthy.
+boundary condition, and everything beyond stays healthy.  The work queue
+serves both a finite region (``closure_region``) and the sup-norm box
+around a finite seed in Z^2 (``closure_free``).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Container, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +55,57 @@ def synchronous_step(
     return frozenset(new)
 
 
+def _closure(
+    family: UpdateFamily,
+    inside: Container[Site],
+    seed: FrozenSet[Site],
+    zeros: FrozenSet[Site] = frozenset(),
+) -> Tuple[set, int]:
+    """Generation-layered closure of ``seed`` on the sites ``c in inside``,
+    with the fixed infected sites ``zeros`` outside them; returns the
+    infected sites of ``inside`` and the number of generations, which
+    matches the synchronous iteration's round count."""
+    offsets = family.offsets()
+    rules = family.rules
+
+    active = set(seed) | zeros
+    frontier = set(active)
+    rounds = 0
+    while frontier:
+        candidates = set()
+        for (sx, sy) in frontier:
+            for (dx, dy) in offsets:
+                c = (sx - dx, sy - dy)
+                if c in inside and c not in active:
+                    candidates.add(c)
+        newly = set()
+        for x in candidates:
+            a, b = x
+            for rule in rules:
+                if all((a + dx, b + dy) in active for dx, dy in rule):
+                    newly.add(x)
+                    break
+        if not newly:
+            break
+        rounds += 1
+        active |= newly
+        frontier = newly
+    return active - zeros, rounds
+
+
+class _SupNormBox:
+    """Membership in the box of sup-norm radius ``cap`` about the origin,
+    without listing its sites."""
+
+    __slots__ = ("cap",)
+
+    def __init__(self, cap: int):
+        self.cap = cap
+
+    def __contains__(self, site: Site) -> bool:
+        return abs(site[0]) <= self.cap and abs(site[1]) <= self.cap
+
+
 def closure_region(
     family: UpdateFamily,
     region: Region,
@@ -67,34 +120,7 @@ def closure_region(
     if not seed <= region.sites:
         raise ValueError("seed must be contained in the region")
     zeros = tau.zeros if tau is not None else frozenset()
-    region_sites = region.sites
-    offsets = family.offsets()
-    rules = family.rules
-
-    infected = set(seed)
-    active = infected | set(zeros)
-    frontier = set(active)
-    rounds = 0
-    while frontier:
-        candidates = set()
-        for (sx, sy) in frontier:
-            for (dx, dy) in offsets:
-                c = (sx - dx, sy - dy)
-                if c in region_sites and c not in infected:
-                    candidates.add(c)
-        newly = set()
-        for x in candidates:
-            a, b = x
-            for rule in rules:
-                if all((a + dx, b + dy) in active for dx, dy in rule):
-                    newly.add(x)
-                    break
-        if not newly:
-            break
-        rounds += 1
-        infected |= newly
-        active |= newly
-        frontier = newly
+    infected, rounds = _closure(family, region.sites, seed, zeros)
     return ClosureResult(frozenset(infected), rounds, False)
 
 
@@ -109,44 +135,12 @@ def closure_free(
         radius = max(max(abs(x), abs(y)) for x, y in seed)
         if cap < radius:
             raise ValueError(f"cap {cap} smaller than seed radius {radius}")
+    box = _SupNormBox(cap)
+    infected, rounds = _closure(family, box, seed)
     offsets = family.offsets()
-    rules = family.rules
-
-    infected = set(seed)
-    frontier = set(seed)
-    rounds = 0
-    while frontier:
-        candidates = set()
-        for (sx, sy) in frontier:
-            for (dx, dy) in offsets:
-                c = (sx - dx, sy - dy)
-                if (
-                    abs(c[0]) <= cap
-                    and abs(c[1]) <= cap
-                    and c not in infected
-                ):
-                    candidates.add(c)
-        newly = set()
-        for x in candidates:
-            a, b = x
-            for rule in rules:
-                if all((a + dx, b + dy) in infected for dx, dy in rule):
-                    newly.add(x)
-                    break
-        if not newly:
-            break
-        rounds += 1
-        infected |= newly
-        frontier = newly
-
-    touched = False
-    for (sx, sy) in infected:
-        for (dx, dy) in offsets:
-            if abs(sx - dx) > cap or abs(sy - dy) > cap:
-                touched = True
-                break
-        if touched:
-            break
+    touched = any(
+        (sx - dx, sy - dy) not in box for (sx, sy) in infected for (dx, dy) in offsets
+    )
     return ClosureResult(frozenset(infected), rounds, touched)
 
 

@@ -4,56 +4,45 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import click
 
 from . import __version__
 from .bootstrap import closure_free, median_bootstrap_time
 from .directions import stable_directions
-from .droplets import (
-    ColumnGeometry,
-    Configuration,
-    event_B1,
-    event_B2,
-    run_droplet_algorithm,
-    sample_omega,
-)
+from .droplets import ColumnGeometry, event_B1, event_B2, run_droplet_algorithm
 from .exact import an_reachability, east_barrier
 from .families import load_family
-from .geometry import Site
+from .geometry import Configuration, Region, Site, derive_rng, sample_bernoulli
 from .harness import (
     ExperimentConfig,
-    csv_header_comment,
     exact_region_report,
     fit_scaling,
+    kcm_trials_csv,
     run_sweep,
 )
-from .kcm import SimParams, batch_tau0, frozen_boundary_for
-from .geometry import Region
 
 
-def _load_config(path: Optional[str], command: str) -> dict:
-    if not path:
-        return {}
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise click.ClickException("config must be a JSON object")
-    if all(isinstance(v, dict) for v in data.values()) and data:
-        return data.get(command, {})
-    return data
+class _Group(click.Group):
+    """Turns the library's rejection of bad input (``ValueError``) and its
+    failed numerical checks (``ArithmeticError``) into a one-line
+    ``Error:`` message with exit status 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, ArithmeticError) as exc:
+            raise click.ClickException(str(exc)) from exc
 
 
-@click.group()
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="kcm-lab")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="JSON config; every flag has a config key, flags override.")
 @click.pass_context
 def main(ctx, config_path):
     """Bootstrap percolation and constrained-dynamics toolbox."""
-    ctx.ensure_object(dict)
-    ctx.obj["config_path"] = config_path
     if config_path:
         with open(config_path) as fh:
             data = json.load(fh)
@@ -156,17 +145,7 @@ def kcm_run(family, q, box, trials, tmax, seed, persistence, out_path):
     fam = load_family(family)
     w, h = _parse_box(box)
     region = Region.rectangle(-w + 1, 0, -h + 1, 0)
-    boundary = frozen_boundary_for(fam, region)
-    params = SimParams(family=fam, q=q, region=region, boundary=boundary,
-                       t_max=tmax, seed=seed)
-    results, summary = batch_tau0(params, trials, persistence=persistence)
-    lines = [csv_header_comment(seed), "trial,seed,q,tau0,censored,events,legal_updates"]
-    for trial, r in enumerate(results):
-        lines.append(
-            f"{trial},{seed},{q:.17g},{r.tau0:.17g},{int(r.censored)},"
-            f"{r.events},{r.legal_updates}"
-        )
-    text = "\n".join(lines) + "\n"
+    text, summary = kcm_trials_csv(fam, region, q, tmax, seed, trials, persistence)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -187,11 +166,7 @@ def exact(family, box, q):
     """Spectral gap, relaxation time and exact mean hitting time."""
     fam = load_family(family)
     w, h = _parse_box(box)
-    try:
-        region = Region.rectangle(-w + 1, 0, -h + 1, 0)
-        report = exact_region_report(fam, region, q)
-    except (ValueError, ArithmeticError) as exc:
-        raise click.ClickException(str(exc))
+    report = exact_region_report(fam, Region.rectangle(-w + 1, 0, -h + 1, 0), q)
     click.echo(json.dumps(report, indent=2))
 
 
@@ -233,7 +208,7 @@ def duarte_phi(q, n_columns, ell, n1, n2, seed, input_path):
             raise click.ClickException(f"{len(bad)} input sites outside V")
         omega = Configuration(geometry.region, empties)
     else:
-        omega = sample_omega(geometry, q, seed)
+        omega = sample_bernoulli(geometry.region, q, derive_rng(seed, 0))
     profile = run_droplet_algorithm(omega, geometry, ell)
     witness = event_B2(omega, profile, geometry, n2)
     out = {
@@ -284,12 +259,17 @@ def fit(input_path):
     """Fit log(time) against the predictor family and flag a winner."""
     points = []
     with open(input_path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#") or line.lower().startswith("q,"):
                 continue
-            q_str, t_str = line.split(",")[:2]
-            points.append((float(q_str), float(t_str)))
+            try:
+                q_str, t_str = line.split(",")[:2]
+                points.append((float(q_str), float(t_str)))
+            except ValueError:
+                raise click.ClickException(
+                    f"{input_path} line {lineno}: expected 'q,time' numbers, got {line!r}"
+                ) from None
     report = fit_scaling(points)
     click.echo(report.to_json())
 

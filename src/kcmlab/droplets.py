@@ -29,6 +29,7 @@ from .geometry import (
     Site,
     derive_rng,
     outer_boundary,
+    sample_bernoulli,
 )
 from .kcm import SimParams, make_dynamics, observe_trajectory
 
@@ -112,7 +113,7 @@ class ColumnGeometry:
         self.columns: Dict[int, FrozenSet[Site]] = {}
         self.caps: Dict[int, FrozenSet[Site]] = {}
         for i in range(1, N + 1):
-            h = N * N - (i - 1) * N
+            h = self.height(i)
             x = i - N
             self.columns[i] = frozenset((x, j) for j in range(-h + 1, h))
             self.caps[i] = frozenset({(x, h), (x, -h)})
@@ -127,7 +128,7 @@ class ColumnGeometry:
         return self._prefix[k]
 
     def height(self, i: int) -> int:
-        return N_height(self.N, i)
+        return self.N * self.N - (i - 1) * self.N
 
     def column_x(self, i: int) -> int:
         return i - self.N
@@ -144,10 +145,6 @@ class ColumnGeometry:
     def initial_tau(self) -> BoundaryCondition:
         """tau_par == 1 (healthy left wall), tau_perp == 0 (empty caps)."""
         return BoundaryCondition.split(self.region, par_value=1, perp_value=0)
-
-
-def N_height(N: int, i: int) -> int:
-    return N * N - (i - 1) * N
 
 
 @dataclass(frozen=True)
@@ -489,17 +486,6 @@ def monitor_trajectory(
     return report
 
 
-def sample_omega(
-    geometry: ColumnGeometry, q: float, seed: int, trial: int = 0
-) -> Configuration:
-    """Bernoulli(q)-empty configuration on V."""
-    rng = derive_rng(seed, trial)
-    sites = sorted(geometry.region.sites)
-    draws = rng.random(len(sites))
-    empty = frozenset(s for s, u in zip(sites, draws) if u < q)
-    return Configuration(geometry.region, empty)
-
-
 def estimate_uparrow_density(
     scales: DuarteScales,
     trials: int,
@@ -512,7 +498,7 @@ def estimate_uparrow_density(
     geometry = geometry or ColumnGeometry(scales.N)
     hits = 0
     for trial in range(trials):
-        omega = sample_omega(geometry, scales.q, seed, trial)
+        omega = sample_bernoulli(geometry.region, scales.q, derive_rng(seed, trial))
         profile = run_droplet_algorithm(omega, geometry, scales.ell, self_check=False)
         if profile.n_up > 0:
             hits += 1

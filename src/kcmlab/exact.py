@@ -31,7 +31,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .families import UpdateFamily
+from .families import UpdateFamily, compile_rules
 from .geometry import ALL_HEALTHY, ALL_INFECTED, Region, Site
 
 GENERATOR_CAP = 1 << 14
@@ -92,34 +92,16 @@ class StateSpace:
         return 1 << self.sites.index(self.origin)
 
 
-def _compile_rules(
+def _site_masks(
     family: UpdateFamily, sites: Sequence[Site], exterior
 ) -> List[List[int]]:
-    """Per-site list of required-empty bitmasks, one per viable rule, over
-    the sorted site list ``sites`` (bit i is sites[i]).
-
-    Rules touching a healthy exterior site are dropped; exterior empties
-    are omitted from the mask.  A zero mask means the rule always fires.
-    """
-    index = {s: i for i, s in enumerate(sites)}
-    out: List[List[int]] = []
-    for s in sites:
-        a, b = s
-        masks = []
-        for rule in family.rules:
-            mask = 0
-            dead = False
-            for dx, dy in rule:
-                t = (a + dx, b + dy)
-                if t in index:
-                    mask |= 1 << index[t]
-                elif exterior.value_at(t) != 0:
-                    dead = True
-                    break
-            if not dead:
-                masks.append(mask)
-        out.append(masks)
-    return out
+    """``compile_rules`` as bitmasks over ``sites`` (bit i is sites[i]): one
+    required-empty mask per live rule.  A zero mask means the rule always
+    fires."""
+    return [
+        [sum(1 << j for j in set(rule)) for rule in rules]
+        for rules in compile_rules(family, sites, exterior)
+    ]
 
 
 def _constraint_bit(masks: List[int], state: int) -> bool:
@@ -159,7 +141,7 @@ def build_generator(
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0,1), got {q}")
     space = StateSpace.build(region, origin, cap)
-    site_masks = _compile_rules(family, space.sites, exterior)
+    site_masks = _site_masks(family, space.sites, exterior)
     n, size = space.n, space.size
     p = 1.0 - q
 
@@ -434,7 +416,7 @@ def an_reachability(
     max_zeros = n - 1
 
     # every exterior site is empty, so no rule is dropped
-    site_masks = _compile_rules(family, sites, ALL_INFECTED)
+    site_masks = _site_masks(family, sites, ALL_INFECTED)
 
     seen = {0}
     queue = deque([0])

@@ -11,7 +11,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .geometry import Configuration, Site
 
@@ -131,3 +131,31 @@ def constraint_satisfied(config: Configuration, family: UpdateFamily, x: Site) -
         if all(config.value_at((a + dx, b + dy)) == 0 for dx, dy in rule):
             return True
     return False
+
+
+def compile_rules(
+    family: UpdateFamily, sites: Sequence[Site], exterior
+) -> List[Tuple[Tuple[int, ...], ...]]:
+    """Each site's constraint reduced against a fixed exterior: one tuple of
+    neighbour indices into ``sites`` per live rule, in rule order.
+
+    A rule touching a healthy exterior site can never fire and is dropped;
+    empty exterior sites are left out of its tuple.  An empty tuple makes
+    the site unconditionally legal.
+    """
+    index = {s: i for i, s in enumerate(sites)}
+    out = []
+    for a, b in sites:
+        live = []
+        for rule in family.rules:
+            nbrs = []
+            for dx, dy in rule:
+                t = (a + dx, b + dy)
+                if t in index:
+                    nbrs.append(index[t])
+                elif exterior.value_at(t) != 0:
+                    break
+            else:
+                live.append(tuple(nbrs))
+        out.append(tuple(live))
+    return out

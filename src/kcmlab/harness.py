@@ -25,6 +25,7 @@ from .exact import build_generator, mean_hitting, spectral_gap
 from .families import UpdateFamily, load_family
 from .geometry import Region
 from .kcm import (
+    BatchSummary,
     SimParams,
     batch_tau0,
     east_chain_region,
@@ -37,15 +38,6 @@ PREDICTORS = {
     "log_sq_over_q": lambda q: math.log(q) ** 2 / q,
     "log_4_over_q_sq": lambda q: math.log(q) ** 4 / q ** 2,
 }
-
-
-def thread_budget() -> int:
-    """Worker cap from KCMLAB_THREADS; execution here is serial, the budget
-    is recorded in manifests for reproducibility."""
-    try:
-        return max(1, int(os.environ.get("KCMLAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -83,23 +75,39 @@ def region_for(family: UpdateFamily, box: int) -> Region:
     return Region.rectangle(-box + 1, 0, -box + 1, 0)
 
 
+def kcm_trials_csv(
+    family: UpdateFamily,
+    region: Region,
+    q: float,
+    t_max: float,
+    seed: int,
+    trials: int,
+    persistence: bool = False,
+) -> Tuple[str, BatchSummary]:
+    """Hitting-time trials on a region with the family's frozen boundary,
+    as the text of the KCM trial CSV, plus their summary."""
+    boundary = frozen_boundary_for(family, region)
+    params = SimParams(
+        family=family, q=q, region=region, boundary=boundary, t_max=t_max, seed=seed,
+    )
+    results, summary = batch_tau0(params, trials, persistence=persistence)
+    lines = [csv_header_comment(seed), "trial,seed,q,tau0,censored,events,legal_updates"]
+    for trial, r in enumerate(results):
+        lines.append(
+            f"{trial},{seed},{q:.17g},{r.tau0:.17g},{int(r.censored)},"
+            f"{r.events},{r.legal_updates}"
+        )
+    return "\n".join(lines) + "\n", summary
+
+
 def _write_kcm_csv(path: str, config: ExperimentConfig, q: float) -> Dict[str, object]:
     fam = load_family(config.family)
-    region = region_for(fam, config.box)
-    boundary = frozen_boundary_for(fam, region)
-    params = SimParams(
-        family=fam, q=q, region=region, boundary=boundary,
-        t_max=config.t_max, seed=config.seed,
+    text, summary = kcm_trials_csv(
+        fam, region_for(fam, config.box), q, config.t_max, config.seed,
+        config.trials, config.persistence,
     )
-    results, summary = batch_tau0(params, config.trials, persistence=config.persistence)
     with open(path, "w") as fh:
-        fh.write(csv_header_comment(config.seed) + "\n")
-        fh.write("trial,seed,q,tau0,censored,events,legal_updates\n")
-        for trial, r in enumerate(results):
-            fh.write(
-                f"{trial},{config.seed},{q:.17g},{r.tau0:.17g},"
-                f"{int(r.censored)},{r.events},{r.legal_updates}\n"
-            )
+        fh.write(text)
     return {
         "median": summary.median,
         "mean": summary.mean,
@@ -195,7 +203,6 @@ def run_sweep(config: ExperimentConfig) -> Dict[str, object]:
         "trials": config.trials,
         "t_max": config.t_max,
         "persistence": config.persistence,
-        "threads": thread_budget(),
         "status": "ok" if ok else "partial-failure",
         "cells": cells,
     }

@@ -8,46 +8,33 @@ is 1 regardless of the constraint.  Rings are produced by a single
 aggregate exponential clock plus a uniform site choice, which has the same
 law as per-site clocks by superposition of Poisson processes.
 
-The array-based inner event loop ``_event_loop`` is compiled with numba
-when available.  Without numba the loop runs as ``_event_loop_lists``, which
-works on Python lists and per-site rule tuples and so avoids numpy scalar
-access on every ring.  Both consume the same pre-drawn randoms and give
-identical trajectories; each serves as the other's test oracle.
+The event loop ``_event_loop_lists`` runs in pure Python on lists and on
+the per-site rule tuples of ``families.compile_rules``, which avoids numpy
+scalar access on every ring.  The array-based ``_event_loop`` reads the
+same tables as flat pointer arrays; it is not on the simulation path and
+serves as the list loop's test oracle, since both consume the same
+pre-drawn randoms and give identical trajectories.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .families import UpdateFamily
+from .families import UpdateFamily, compile_rules
 from .geometry import (
     ALL_HEALTHY,
     BoundaryCondition,
     BoundaryExterior,
-    Configuration,
     Region,
     Site,
     boundaries,
     derive_rng,
     outer_boundary,
 )
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional speedup
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap if not (args and callable(args[0])) else args[0]
 
 
 @dataclass(frozen=True)
@@ -79,12 +66,11 @@ class HittingResult:
 
 
 class Dynamics:
-    """Compiled per-site constraint tables for one (family, region, exterior).
+    """Per-site constraint tables for one (family, region, exterior).
 
-    For each site every rule is reduced against the exterior policy: a rule
-    touching a healthy exterior site can never fire and is dropped; empty
-    exterior sites are simply omitted from the rule's neighbour list.  A rule
-    whose neighbour list empties out makes the site unconditionally legal.
+    ``site_rules[i]`` holds one tuple of neighbour indices per live rule of
+    site i (see ``families.compile_rules``); ``site_ptr``, ``rule_ptr`` and
+    ``neighbors`` hold the same tables as flat arrays.
     """
 
     def __init__(self, family: UpdateFamily, region: Region, exterior=ALL_HEALTHY):
@@ -93,39 +79,14 @@ class Dynamics:
         self.exterior = exterior
         self.sites: List[Site] = sorted(region.sites)
         self.index = {s: i for i, s in enumerate(self.sites)}
-        n = len(self.sites)
-
-        site_ptr = [0]
-        rule_ptr = [0]
-        neighbors: List[int] = []
-        site_rules: List[Tuple[Tuple[int, ...], ...]] = []
-        for s in self.sites:
-            a, b = s
-            rules = []
-            for rule in family.rules:
-                nbrs = []
-                dead = False
-                for dx, dy in rule:
-                    t = (a + dx, b + dy)
-                    if t in self.index:
-                        nbrs.append(self.index[t])
-                    elif exterior.value_at(t) != 0:
-                        dead = True
-                        break
-                if dead:
-                    continue
-                neighbors.extend(nbrs)
-                rule_ptr.append(len(neighbors))
-                rules.append(tuple(nbrs))
-            site_ptr.append(len(rule_ptr) - 1)
-            site_rules.append(tuple(rules))
-        self.site_ptr = np.asarray(site_ptr, dtype=np.int64)
-        self.rule_ptr = np.asarray(rule_ptr, dtype=np.int64)
-        self.neighbors = np.asarray(neighbors, dtype=np.int64)
-        # the same tables as tuples: site_rules[i] holds one tuple of
-        # neighbour indices per live rule of site i
-        self.site_rules = site_rules
-        self.n = n
+        self.n = len(self.sites)
+        self.site_rules = compile_rules(family, self.sites, exterior)
+        rules = [rule for site in self.site_rules for rule in site]
+        self.site_ptr = np.cumsum([0] + [len(site) for site in self.site_rules], dtype=np.int64)
+        self.rule_ptr = np.cumsum([0] + [len(rule) for rule in rules], dtype=np.int64)
+        self.neighbors = np.fromiter(
+            (j for rule in rules for j in rule), dtype=np.int64, count=int(self.rule_ptr[-1])
+        )
 
     def constraint(self, state: np.ndarray, i: int) -> bool:
         for r in range(self.site_ptr[i], self.site_ptr[i + 1]):
@@ -138,10 +99,6 @@ class Dynamics:
         """Stationary product start: occupied with probability 1 - q."""
         return (rng.random(self.n) >= q).astype(np.int8)
 
-    def state_to_config(self, state: np.ndarray) -> Configuration:
-        empty = frozenset(s for i, s in enumerate(self.sites) if state[i] == 0)
-        return Configuration(self.region, empty, self.exterior)
-
 
 MODE_TAU0 = 0
 MODE_PERSISTENCE = 1
@@ -152,7 +109,6 @@ _STATUS_HIT = 1
 _STATUS_TMAX = 2
 
 
-@njit(cache=True)
 def _event_loop(
     state,
     site_ptr,
@@ -263,25 +219,9 @@ def _run(
         dts = rng.exponential(1.0 / n, size=batch)
         picks = rng.integers(0, n, size=batch)
         coins = rng.random(batch)
-        if _HAVE_NUMBA:
-            status, t, ev, lg, _ = _event_loop(
-                state,
-                dyn.site_ptr,
-                dyn.rule_ptr,
-                dyn.neighbors,
-                origin_idx,
-                q,
-                t,
-                t_max,
-                mode,
-                dts,
-                picks,
-                coins,
-            )
-        else:
-            status, t, ev, lg, _ = _event_loop_lists(
-                state, dyn.site_rules, origin_idx, q, t, t_max, mode, dts, picks, coins
-            )
+        status, t, ev, lg, _ = _event_loop_lists(
+            state, dyn.site_rules, origin_idx, q, t, t_max, mode, dts, picks, coins
+        )
         events += ev
         legal += lg
         if status != _STATUS_EXHAUSTED:
@@ -293,37 +233,31 @@ def make_dynamics(params: SimParams) -> Dynamics:
     return Dynamics(params.family, params.region, params.boundary)
 
 
-def simulate_tau0(params: SimParams, dyn: Optional[Dynamics] = None) -> HittingResult:
-    """Time of first emptiness at the origin from a stationary start."""
+def _hitting(params: SimParams, dyn: Optional[Dynamics], mode: int) -> HittingResult:
+    """One trial from a stationary start, stopped by ``mode`` or at t_max."""
     if dyn is None:
         dyn = make_dynamics(params)
     rng = derive_rng(params.seed, params.trial)
     state = dyn.sample_state(params.q, rng)
     origin_idx = dyn.index[params.origin]
-    if state[origin_idx] == 0:
+    if mode == MODE_TAU0 and state[origin_idx] == 0:
         return HittingResult(0.0, False, 0, 0)
-    status, t, events, legal = _run(
-        dyn, state, params.q, params.t_max, MODE_TAU0, rng, origin_idx
-    )
+    status, t, events, legal = _run(dyn, state, params.q, params.t_max, mode, rng, origin_idx)
     if status == _STATUS_HIT:
         return HittingResult(t, False, events, legal)
     return HittingResult(params.t_max, True, events, legal)
+
+
+def simulate_tau0(params: SimParams, dyn: Optional[Dynamics] = None) -> HittingResult:
+    """Time of first emptiness at the origin from a stationary start."""
+    return _hitting(params, dyn, MODE_TAU0)
 
 
 def simulate_persistence(
     params: SimParams, dyn: Optional[Dynamics] = None
 ) -> HittingResult:
     """Time of the first legal update at the origin from a stationary start."""
-    if dyn is None:
-        dyn = make_dynamics(params)
-    rng = derive_rng(params.seed, params.trial)
-    state = dyn.sample_state(params.q, rng)
-    status, t, events, legal = _run(
-        dyn, state, params.q, params.t_max, MODE_PERSISTENCE, rng, dyn.index[params.origin]
-    )
-    if status == _STATUS_HIT:
-        return HittingResult(t, False, events, legal)
-    return HittingResult(params.t_max, True, events, legal)
+    return _hitting(params, dyn, MODE_PERSISTENCE)
 
 
 def sample_state_at(
@@ -385,20 +319,8 @@ def batch_tau0(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     dyn = make_dynamics(params)
-    run = simulate_persistence if persistence else simulate_tau0
-    results = []
-    for trial in range(trials):
-        p = SimParams(
-            family=params.family,
-            q=params.q,
-            region=params.region,
-            boundary=params.boundary,
-            t_max=params.t_max,
-            seed=params.seed,
-            trial=trial,
-            origin=params.origin,
-        )
-        results.append(run(p, dyn))
+    mode = MODE_PERSISTENCE if persistence else MODE_TAU0
+    results = [_hitting(replace(params, trial=trial), dyn, mode) for trial in range(trials)]
     return results, summarize(results)
 
 

@@ -154,6 +154,26 @@ class TestExact:
         assert message in lines[0]
 
 
+class TestOutOfRangeInput:
+    @pytest.mark.parametrize("args, message", [
+        (["kcm-run", "--family", "east1d", "--q", "1.5"], "q must lie in (0,1)"),
+        (["bootstrap-time", "--family", "duarte", "--q", "1.5", "--box", "4"],
+         "q must lie in (0,1]"),
+        (["sweep", "--kind", "kcm", "--family", "east1d", "--q", "1.5", "--box", "4"],
+         "q=1.5 outside (0,1)"),
+        (["duarte-phi", "--n-columns", "3", "--ell", "2", "--q", "1.5"],
+         "q must lie in [0,1]"),
+    ], ids=["kcm-run", "bootstrap-time", "sweep", "duarte-phi"])
+    def test_one_line_error(self, runner, tmp_path, args, message):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("Error: ")
+        assert message in lines[0]
+
+
 class TestSmallCommands:
     def test_east_barrier(self, runner):
         result = invoke(runner, ["east-barrier", "--ell", "7"])
@@ -227,6 +247,31 @@ class TestSweepAndFit:
         assert set(out["fits"]) == {
             "log_sq", "inv_q", "log_sq_over_q", "log_4_over_q_sq"
         }
+
+    def test_kcm_run_equals_sweep_csv(self, runner, tmp_path):
+        # both commands write the trial CSV through one code path
+        common = ["--family", "east1d", "--q", "0.35", "--trials", "12",
+                  "--tmax", "500", "--seed", "9"]
+        run = invoke(runner, ["kcm-run", "--box", "6x1", *common])
+        assert run.exit_code == 0
+        result = invoke(runner, ["sweep", "--kind", "kcm", "--box", "6",
+                                 "--out-dir", str(tmp_path), *common])
+        assert result.exit_code == 0
+        assert run.stdout == (tmp_path / "kcm_q0.3500.csv").read_text()
+
+    def test_fit_rejects_sweep_csv(self, runner, tmp_path):
+        result = invoke(runner, ["sweep", "--kind", "kcm", "--family", "east1d",
+                                 "--q", "0.4", "--box", "4", "--trials", "3",
+                                 "--tmax", "50", "--out-dir", str(tmp_path)])
+        assert result.exit_code == 0
+        csv_path = tmp_path / "kcm_q0.4000.csv"
+        fit_res = runner.invoke(main, ["fit", "--input", str(csv_path)])
+        assert fit_res.exit_code == 1
+        lines = fit_res.output.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("Error: ")
+        assert "line 2" in lines[0] and "'q,time'" in lines[0]
+        assert "trial,seed" in lines[0]
 
     def test_sweep_partial_failure_exits_nonzero(self, runner, tmp_path):
         result = runner.invoke(

@@ -17,7 +17,6 @@ from kcmlab.droplets import (
     event_B2,
     monitor_trajectory,
     run_droplet_algorithm,
-    sample_omega,
     validate_coarse_path,
 )
 from kcmlab.families import builtin_family
@@ -445,11 +444,6 @@ class TestTrajectories:
 
 
 class TestSampling:
-    def test_sample_omega_deterministic(self):
-        g = ColumnGeometry(3)
-        assert sample_omega(g, 0.3, 5, 1) == sample_omega(g, 0.3, 5, 1)
-        assert sample_omega(g, 0.3, 5, 1) != sample_omega(g, 0.3, 5, 2)
-
     def test_density_estimate_monotone_in_q(self):
         g = ColumnGeometry(3)
         lo = estimate_uparrow_density(

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from kcmlab.harness import (
     medians_from_manifest,
     region_for,
     run_sweep,
-    thread_budget,
 )
 from kcmlab.families import builtin_family
 
@@ -42,14 +40,6 @@ class TestConfig:
         square = region_for(builtin_family("duarte"), 3)
         assert (0, 0) in square.sites
         assert len(square.sites) == 9
-
-    def test_thread_budget_env(self, monkeypatch):
-        monkeypatch.setenv("KCMLAB_THREADS", "4")
-        assert thread_budget() == 4
-        monkeypatch.setenv("KCMLAB_THREADS", "zero")
-        assert thread_budget() == 1
-        monkeypatch.delenv("KCMLAB_THREADS")
-        assert thread_budget() == 1
 
 
 class TestSweep:

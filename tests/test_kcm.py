@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from kcmlab.exact import build_generator
+from kcmlab.exact import _constraint_bit, _site_masks, build_generator
 from kcmlab.families import builtin_family, constraint_satisfied
-from kcmlab.geometry import ALL_HEALTHY, Configuration, Region
+from kcmlab.geometry import ALL_HEALTHY, ALL_INFECTED, Configuration, Region
 from kcmlab.kcm import (
     SimParams,
     batch_tau0,
@@ -53,16 +53,21 @@ class TestDynamicsCompilation:
 
     def test_constraint_matches_configuration_check(self, rng):
         # on a Duarte box neighbour k of a rule is not site k, unlike on an
-        # East chain
+        # East chain; the exact layer's bitmasks come from the same tables
         region = Region.rectangle(-3, 0, -3, 0)
-        boundary = frozen_boundary_for(DUARTE, region)
-        dyn = make_dynamics(SimParams(DUARTE, 0.5, region, boundary))
-        for _ in range(200):
-            state = (rng.random(dyn.n) >= 0.5).astype(np.int8)
-            empty = [s for s, v in zip(dyn.sites, state) if v == 0]
-            config = Configuration(region, empty, boundary)
-            for i, site in enumerate(dyn.sites):
-                assert dyn.constraint(state, i) == constraint_satisfied(config, DUARTE, site)
+        exteriors = [ALL_HEALTHY, ALL_INFECTED, frozen_boundary_for(DUARTE, region)]
+        for exterior in exteriors:
+            dyn = make_dynamics(SimParams(DUARTE, 0.5, region, exterior))
+            masks = _site_masks(DUARTE, dyn.sites, exterior)
+            for _ in range(200):
+                state = (rng.random(dyn.n) >= 0.5).astype(np.int8)
+                empty = [s for s, v in zip(dyn.sites, state) if v == 0]
+                config = Configuration(region, empty, exterior)
+                bits = sum(1 << i for i, v in enumerate(state) if v == 0)
+                for i, site in enumerate(dyn.sites):
+                    want = constraint_satisfied(config, DUARTE, site)
+                    assert dyn.constraint(state, i) == want
+                    assert _constraint_bit(masks[i], bits) == want
 
     def test_healthy_exterior_drops_rules(self):
         region = Region([(0, 0)])
