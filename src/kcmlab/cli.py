@@ -144,7 +144,7 @@ def kcm_run(family, q, box, trials, tmax, seed, persistence, out_path):
     """Hitting-time trials of the constrained dynamics; CSV output."""
     fam = load_family(family)
     w, h = _parse_box(box)
-    region = Region.rectangle(-w + 1, 0, -h + 1, 0)
+    region = Region.corner(w, h)
     text, summary = kcm_trials_csv(fam, region, q, tmax, seed, trials, persistence)
     if out_path:
         with open(out_path, "w") as fh:
@@ -166,7 +166,7 @@ def exact(family, box, q):
     """Spectral gap, relaxation time and exact mean hitting time."""
     fam = load_family(family)
     w, h = _parse_box(box)
-    report = exact_region_report(fam, Region.rectangle(-w + 1, 0, -h + 1, 0), q)
+    report = exact_region_report(fam, Region.corner(w, h), q)
     click.echo(json.dumps(report, indent=2))
 
 

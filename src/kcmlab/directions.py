@@ -11,6 +11,7 @@ vectors.  No floating point enters any comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cmp_to_key
 from math import gcd
 from typing import List, Tuple
 
@@ -47,27 +48,21 @@ def _rot90(v: Vec) -> Vec:
     return (-v[1], v[0])
 
 
-def _angular_key(v: Vec):
-    """Total order on primitive directions, counterclockwise from +e1."""
+def _half(v: Vec) -> int:
+    """0 for directions in [0, pi) counterclockwise from +e1, 1 otherwise."""
     x, y = v
-    half = 0 if (y > 0 or (y == 0 and x > 0)) else 1
+    return 0 if (y > 0 or (y == 0 and x > 0)) else 1
 
-    class _K:
-        __slots__ = ("v", "half")
 
-        def __init__(self, v, half):
-            self.v = v
-            self.half = half
+def _angular_cmp(a: Vec, b: Vec) -> int:
+    """Total order on primitive directions, counterclockwise from +e1."""
+    if _half(a) != _half(b):
+        return _half(a) - _half(b)
+    c = _cross(a, b)
+    return (c < 0) - (c > 0)
 
-        def __lt__(self, other):
-            if self.half != other.half:
-                return self.half < other.half
-            return _cross(self.v, other.v) > 0
 
-        def __eq__(self, other):
-            return self.v == other.v
-
-    return _K(v, half)
+_angular_key = cmp_to_key(_angular_cmp)
 
 
 def _ccw_cat(anchor: Vec, w: Vec) -> int:

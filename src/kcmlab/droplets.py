@@ -5,8 +5,9 @@ whose last column is centred on the origin.  A deterministic pass over the
 columns converts a configuration into an arrow profile: column k earns an
 up arrow when its capped column contains an infectable vertical interval
 of length at least ell, in which case the algorithm heals a whole range of
-columns (the droplet) and moves on.  Coarse-graining the arrows over
-blocks yields the 0/1 profiles whose East-like paths are validated here.
+columns (the droplet) and moves on; its cut xi_k is tested by a closure on
+V_{xi,k} with a healthy west wall.  Coarse-graining the arrows over blocks
+yields the 0/1 profiles whose East-like paths are validated here.
 """
 
 from __future__ import annotations
@@ -118,14 +119,7 @@ class ColumnGeometry:
             self.columns[i] = frozenset((x, j) for j in range(-h + 1, h))
             self.caps[i] = frozenset({(x, h), (x, -h)})
         self.region = Region.column_union(self.columns.values())
-        self._prefix: Dict[int, Region] = {}
-
-    def prefix_window(self, k: int) -> Region:
-        """V_{1,k}, cached; closures never look rightward, so column k's
-        content under the full-V closure equals its content under V_{1,k}."""
-        if k not in self._prefix:
-            self._prefix[k] = self.window(1, k)
-        return self._prefix[k]
+        self._windows: Dict[Tuple[int, int], Region] = {}
 
     def height(self, i: int) -> int:
         return self.N * self.N - (i - 1) * self.N
@@ -137,10 +131,12 @@ class ColumnGeometry:
         return self.columns[i] | self.caps[i]
 
     def window(self, i: int, j: int) -> Region:
-        """V_{i,j}, the union of columns i..j."""
+        """V_{i,j}, the union of columns i..j, built once per (i, j)."""
         if not 1 <= i <= j <= self.N:
             raise ValueError("need 1 <= i <= j <= N")
-        return Region.column_union(self.columns[k] for k in range(i, j + 1))
+        if (i, j) not in self._windows:
+            self._windows[i, j] = Region.column_union(self.columns[k] for k in range(i, j + 1))
+        return self._windows[i, j]
 
     def initial_tau(self) -> BoundaryCondition:
         """tau_par == 1 (healthy left wall), tau_perp == 0 (empty caps)."""
@@ -172,23 +168,39 @@ class ArrowProfile:
 _DUARTE = builtin_family("duarte")
 
 
+def _window_closure(
+    geometry: ColumnGeometry,
+    i: int,
+    j: int,
+    empties: FrozenSet[Site],
+    tau: Dict[Site, int],
+) -> FrozenSet[Site]:
+    """Duarte closure of the empties inside V_{i,j}.  The caps take their
+    tau values; the west wall, column i - 1 when i > 1, is not in tau and
+    reads healthy.
+
+    This equals the closure on V_{1,j} after the capped columns 1..i-1 are
+    healed.  A Duarte site needs two of its N, S and W neighbours infected,
+    so no infection starts in those columns, and column i sees a healthy
+    west in either window.  No rule looks east, so columns i..j close the
+    same way in both.
+    """
+    window = geometry.window(i, j)
+    bc = BoundaryCondition(window, {s: tau.get(s, 1) for s in outer_boundary(window)})
+    return closure_region(_DUARTE, window, bc, empties & window.sites).closed
+
+
 def _column_has_long_interval(
     geometry: ColumnGeometry,
+    xi: int,
     k: int,
     empties: FrozenSet[Site],
     tau: Dict[Site, int],
     ell: int,
 ) -> bool:
-    """Whether the closure of the current state contains a vertical run of
-    length >= ell inside the capped column k (caps count when their tau is 0).
-
-    Duarte rules never look east, so the closure is taken on the prefix
-    window V_{1,k}; columns beyond k cannot influence column k.
-    """
-    window = geometry.prefix_window(k)
-    assignment = {s: tau.get(s, 1) for s in outer_boundary(window)}
-    bc = BoundaryCondition(window, assignment)
-    closed = closure_region(_DUARTE, window, bc, empties & window.sites).closed
+    """Whether the closure on V_{xi,k} contains a vertical run of length
+    >= ell inside the capped column k (caps count when their tau is 0)."""
+    closed = _window_closure(geometry, xi, k, empties, tau)
     x = geometry.column_x(k)
     h = geometry.height(k)
     ys = {j for j in range(-h + 1, h) if (x, j) in closed}
@@ -204,26 +216,6 @@ def _column_has_long_interval(
     return best >= ell
 
 
-def _strip_prefix(
-    geometry: ColumnGeometry,
-    empties: FrozenSet[Site],
-    tau: Dict[Site, int],
-    xi: int,
-) -> Tuple[FrozenSet[Site], Dict[Site, int]]:
-    """Remove every empty (in omega and tau) from capped columns i < xi."""
-    if xi <= 1:
-        return empties, tau
-    drop = set()
-    healed_caps = {}
-    for i in range(1, xi):
-        drop |= geometry.columns[i]
-        for c in geometry.caps[i]:
-            healed_caps[c] = 1
-    new_tau = dict(tau)
-    new_tau.update(healed_caps)
-    return empties - drop, new_tau
-
-
 def run_droplet_algorithm(
     omega: Configuration,
     geometry: ColumnGeometry,
@@ -235,9 +227,10 @@ def run_droplet_algorithm(
 
     State is the pair (empty set on V, tau on the boundary); an up arrow at
     column k heals capped columns xi_k..k in both parts.  xi_k is the
-    largest prefix cut that preserves the long-interval property; the cut
-    test is monotone, so binary search applies (cross-checked against the
-    linear scan when self_check is set).
+    largest cut xi for which the closure of the current state on V_{xi,k},
+    with a healthy west wall, keeps the long-interval property in column k.
+    The cut test is monotone, so binary search applies (cross-checked
+    against the linear scan when self_check is set).
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -254,8 +247,7 @@ def run_droplet_algorithm(
 
     for k in range(1, geometry.N + 1):
         def holds(xi: int) -> bool:
-            e, t = _strip_prefix(geometry, empties, tau, xi)
-            return _column_has_long_interval(geometry, k, e, t, ell)
+            return _column_has_long_interval(geometry, xi, k, empties, tau, ell)
 
         if not holds(1):
             phi.append(DOWN)
@@ -309,6 +301,7 @@ def event_B2(
     window the closure of omega's empties inside V_{i,j} is taken with a
     healthy left wall and empty caps, and searched for a rightward path.
     """
+    tau = None  # read at the first window; most monitor calls close none
     for i in range(1, geometry.N + 1):
         if profile.phi[i - 1] == UP:
             continue
@@ -317,10 +310,8 @@ def event_B2(
                 break
             if j - i < n - 1:
                 continue
-            window = geometry.window(i, j)
-            bc = BoundaryCondition.split(window, par_value=1, perp_value=0)
-            seed = omega.empty & window.sites
-            closed = closure_region(_DUARTE, window, bc, seed).closed
+            tau = tau or geometry.initial_tau().assignment
+            closed = _window_closure(geometry, i, j, omega.empty, tau)
             path = duarte_path_exists(
                 closed, geometry.column_x(i), geometry.column_x(j)
             )

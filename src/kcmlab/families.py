@@ -8,6 +8,7 @@ deduplicated and ordered lexicographically.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
@@ -114,6 +115,8 @@ def load_family(spec: str) -> UpdateFamily:
         pass
     if spec.lstrip().startswith("{"):
         return parse_family(spec)
+    if not os.path.isfile(spec):
+        raise FamilyError(f"unknown family {spec!r}: not east1d, east2d, duarte, JSON or a file")
     with open(spec) as fh:
         return parse_family(fh.read())
 

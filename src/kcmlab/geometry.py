@@ -37,6 +37,11 @@ class Region:
         return cls((x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1))
 
     @classmethod
+    def corner(cls, width: int, height: int) -> "Region":
+        """The width x height window whose top-right corner is the origin."""
+        return cls.rectangle(-width + 1, 0, -height + 1, 0)
+
+    @classmethod
     def box(cls, half_width: int) -> "Region":
         """Square box [-half_width..half_width]^2 centred at the origin."""
         return cls.rectangle(-half_width, half_width, -half_width, half_width)

@@ -72,7 +72,7 @@ def region_for(family: UpdateFamily, box: int) -> Region:
     chain for east1d, a lower-left-anchored square otherwise."""
     if family.name == "east1d":
         return east_chain_region(box)
-    return Region.rectangle(-box + 1, 0, -box + 1, 0)
+    return Region.corner(box, box)
 
 
 def kcm_trials_csv(

@@ -354,7 +354,7 @@ def east_chain_region(length: int) -> Region:
     the frozen wall just beyond the left end."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    return Region.rectangle(-length + 1, 0, 0, 0)
+    return Region.corner(length, 1)
 
 
 def frozen_boundary_for(family: UpdateFamily, region: Region) -> BoundaryExterior:

@@ -37,8 +37,13 @@ class TestClassify:
         assert "arcs" not in out
 
     def test_bad_family_is_clean_error(self, runner):
-        result = runner.invoke(main, ["classify", "--family", "nope"])
-        assert result.exit_code != 0
+        for command in (["classify"], ["kcm-run", "--q", "0.3"]):
+            result = runner.invoke(main, command + ["--family", "nope"])
+            assert result.exit_code == 1
+            lines = result.output.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("Error:")
+            assert all(name in lines[0] for name in ("east1d", "east2d", "duarte"))
+            assert "Traceback" not in result.output
 
 
 class TestBootstrapClose:

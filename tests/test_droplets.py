@@ -3,12 +3,14 @@ import warnings
 
 import pytest
 
+from kcmlab.bootstrap import closure_region
 from kcmlab.droplets import (
     DOWN,
     UP,
     ArrowProfile,
     ColumnGeometry,
     DuarteScales,
+    _column_has_long_interval,
     check_droplet_disjointness,
     check_restriction_identity,
     estimate_uparrow_density,
@@ -20,7 +22,7 @@ from kcmlab.droplets import (
     validate_coarse_path,
 )
 from kcmlab.families import builtin_family
-from kcmlab.geometry import Configuration
+from kcmlab.geometry import BoundaryCondition, Configuration, outer_boundary
 
 DUARTE = builtin_family("duarte")
 
@@ -97,7 +99,8 @@ class TestGeometry:
     def test_window_and_prefix(self):
         g = ColumnGeometry(4)
         assert g.window(2, 3).sites == g.columns[2] | g.columns[3]
-        assert g.prefix_window(2).sites == g.window(1, 2).sites
+        assert g.window(1, 4).sites == g.region.sites
+        assert g.window(2, 3) is g.window(2, 3)
         with pytest.raises(ValueError):
             g.window(3, 2)
 
@@ -205,6 +208,49 @@ class TestDropletAlgorithm:
             a = profile_of(g, empties, 2, self_check=False)
             b = profile_of(g, scrambled, 2, self_check=False)
             assert a.phi[:k] == b.phi[:k]
+
+
+class TestCutTest:
+    @staticmethod
+    def healed_prefix_route(g, xi, k, empties, tau, ell):
+        """The cut test written out: heal the capped columns left of xi,
+        close on V_{1,k}, and look for a run of length ell in column k."""
+        tau = dict(tau)
+        for i in range(1, xi):
+            empties = empties - g.columns[i]
+            tau.update({c: 1 for c in g.caps[i]})
+        window = g.window(1, k)
+        bc = BoundaryCondition(window, {s: tau.get(s, 1) for s in outer_boundary(window)})
+        closed = closure_region(DUARTE, window, bc, empties & window.sites).closed
+        x, h = g.column_x(k), g.height(k)
+        col = [(x, j) in closed or (abs(j) == h and tau[(x, j)] == 0)
+               for j in range(-h, h + 1)]
+        best = run = 0
+        for filled in col:
+            run = run + 1 if filled else 0
+            best = max(best, run)
+        return best >= ell
+
+    @pytest.mark.parametrize("N", [4, 5])
+    def test_window_closure_equals_healed_prefix(self, N, rng):
+        # the cut test closes V_{xi,k} directly; columns left of xi are
+        # neither copied nor healed
+        g = ColumnGeometry(N)
+        sites = sorted(g.region.sites)
+        caps = sorted(set().union(*g.caps.values()))
+        tau0 = g.initial_tau().assignment
+        fired = 0
+        for _ in range(150):
+            empties = frozenset(s for s in sites if rng.random() < 0.3)
+            tau = dict(tau0)
+            tau.update({c: 1 for c in caps if rng.random() < 0.4})
+            k = int(rng.integers(1, N + 1))
+            xi = int(rng.integers(1, k + 1))
+            ell = int(rng.integers(2, 5))
+            got = _column_has_long_interval(g, xi, k, empties, tau, ell)
+            assert got == self.healed_prefix_route(g, xi, k, empties, tau, ell)
+            fired += got
+        assert 0 < fired < 150
 
 
 class TestEastMotionOfArrows:
