@@ -8,6 +8,11 @@ of length at least ell, in which case the algorithm heals a whole range of
 columns (the droplet) and moves on; its cut xi_k is tested by a closure on
 V_{xi,k} with a healthy west wall.  Coarse-graining the arrows over blocks
 yields the 0/1 profiles whose East-like paths are validated here.
+
+The pass and the crossing event B2 hold each column as one Python int, one
+bit per site, and close a window by a single west-to-east sweep with a 1-D
+bit fixed point per column (the Duarte rules never look east).
+``bootstrap.closure_region`` is the general engine and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +25,9 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bootstrap import closure_region, duarte_path_exists
+from .bootstrap import duarte_path_exists
+# Not called here; kept bound because the traced benchmark patches it here.
+from .bootstrap import closure_region  # noqa: F401
 from .families import builtin_family
 from .geometry import (
     BoundaryCondition,
@@ -29,7 +36,6 @@ from .geometry import (
     Region,
     Site,
     derive_rng,
-    outer_boundary,
     sample_bernoulli,
 )
 from .kcm import SimParams, make_dynamics, observe_trajectory
@@ -120,6 +126,8 @@ class ColumnGeometry:
             self.caps[i] = frozenset({(x, h), (x, -h)})
         self.region = Region.column_union(self.columns.values())
         self._windows: Dict[Tuple[int, int], Region] = {}
+        self._tau: Optional[BoundaryCondition] = None
+        self._dynamics = None  # the Duarte KCM tables, built by monitor_trajectory
 
     def height(self, i: int) -> int:
         return self.N * self.N - (i - 1) * self.N
@@ -139,8 +147,11 @@ class ColumnGeometry:
         return self._windows[i, j]
 
     def initial_tau(self) -> BoundaryCondition:
-        """tau_par == 1 (healthy left wall), tau_perp == 0 (empty caps)."""
-        return BoundaryCondition.split(self.region, par_value=1, perp_value=0)
+        """tau_par == 1 (healthy left wall), tau_perp == 0 (empty caps),
+        built once; callers copy the assignment before changing it."""
+        if self._tau is None:
+            self._tau = BoundaryCondition.split(self.region, par_value=1, perp_value=0)
+        return self._tau
 
 
 @dataclass(frozen=True)
@@ -168,52 +179,91 @@ class ArrowProfile:
 _DUARTE = builtin_family("duarte")
 
 
+def _column_masks(
+    geometry: ColumnGeometry, empties: FrozenSet[Site], tau: Dict[Site, int]
+) -> List[int]:
+    """Column c's empties as one int at index c: bit y + h_c stands for the
+    site (x_c, y), so bits 0 and 2h_c are its caps, which stay clear.
+    Index 0 holds column 1's west wall, its sites with tau 0, in column 1's
+    frame."""
+    N = geometry.N
+    masks = [0] * (N + 1)
+    for x, y in empties:
+        masks[x + N] |= 1 << (y + N - N * x)  # h_c = N(1 - x_c)
+    h = geometry.height(1)
+    x = geometry.column_x(1) - 1
+    for y in range(-h + 1, h):
+        if tau.get((x, y), 1) == 0:
+            masks[0] |= 1 << (y + h)
+    return masks
+
+
 def _window_closure(
     geometry: ColumnGeometry,
     i: int,
     j: int,
-    empties: FrozenSet[Site],
+    masks: Sequence[int],
     tau: Dict[Site, int],
-) -> FrozenSet[Site]:
-    """Duarte closure of the empties inside V_{i,j}.  The caps take their
-    tau values; the west wall, column i - 1 when i > 1, is not in tau and
+) -> List[int]:
+    """Closed masks of columns i..j under the Duarte closure on V_{i,j}.
+    A cap bit is set when its tau value is 0.  The west wall is masks[0]
+    when i = 1; when i > 1 it is column i - 1, which is not in tau and
     reads healthy.
 
+    A Duarte site needs two of its N, S and W neighbours infected, and no
+    rule looks east.  So nothing east of column c can change column c, and
+    the closure restricted to column c is the least fixed point of the 1-D
+    map ``inf |= ((up & dn) | (w & (up | dn))) & interior`` given the final
+    closed column w to its west.  Sweeping west to east and iterating that
+    map in each column to its fixed point therefore gives the closure.
+    Column c - 1 is N sites taller on each side, so its mask shifted right
+    by N is in column c's bit frame.
+
     This equals the closure on V_{1,j} after the capped columns 1..i-1 are
-    healed.  A Duarte site needs two of its N, S and W neighbours infected,
-    so no infection starts in those columns, and column i sees a healthy
-    west in either window.  No rule looks east, so columns i..j close the
-    same way in both.
+    healed: no infection starts in healed columns, so column i sees a
+    healthy west in either window.
     """
-    window = geometry.window(i, j)
-    bc = BoundaryCondition(window, {s: tau.get(s, 1) for s in outer_boundary(window)})
-    return closure_region(_DUARTE, window, bc, empties & window.sites).closed
+    N = geometry.N
+    x, h = geometry.column_x(i), geometry.height(i)
+    w = masks[0] if i == 1 else 0
+    closed = []
+    for c in range(i, j + 1):
+        top = 1 << (2 * h)
+        interior = top - 2
+        inf = masks[c]
+        if tau.get((x, -h), 1) == 0:
+            inf |= 1
+        if tau.get((x, h), 1) == 0:
+            inf |= top
+        while True:
+            up, dn = inf << 1, inf >> 1
+            grown = inf | (((up & dn) | (w & (up | dn))) & interior)
+            if grown == inf:
+                break
+            inf = grown
+        closed.append(inf)
+        w = inf >> N
+        x, h = x + 1, h - N
+    return closed
 
 
 def _column_has_long_interval(
     geometry: ColumnGeometry,
     xi: int,
     k: int,
-    empties: FrozenSet[Site],
+    masks: Sequence[int],
     tau: Dict[Site, int],
     ell: int,
 ) -> bool:
     """Whether the closure on V_{xi,k} contains a vertical run of length
     >= ell inside the capped column k (caps count when their tau is 0)."""
-    closed = _window_closure(geometry, xi, k, empties, tau)
-    x = geometry.column_x(k)
-    h = geometry.height(k)
-    ys = {j for j in range(-h + 1, h) if (x, j) in closed}
-    ys.update(j for j in (-h, h) if tau.get((x, j), 1) == 0)
-    best = 0
-    run = 0
-    for j in range(-h, h + 1):
-        if j in ys:
-            run += 1
-            best = max(best, run)
-        else:
-            run = 0
-    return best >= ell
+    m = _window_closure(geometry, xi, k, masks, tau)[-1]
+    run = 1  # bit b of m is set iff bits b..b+run-1 of the column are
+    while run < ell and m:
+        s = min(run, ell - run)
+        m &= m >> s
+        run += s
+    return m != 0
 
 
 def run_droplet_algorithm(
@@ -225,10 +275,11 @@ def run_droplet_algorithm(
 ) -> ArrowProfile:
     """One deterministic left-to-right pass producing the arrow profile.
 
-    State is the pair (empty set on V, tau on the boundary); an up arrow at
-    column k heals capped columns xi_k..k in both parts.  xi_k is the
-    largest cut xi for which the closure of the current state on V_{xi,k},
-    with a healthy west wall, keeps the long-interval property in column k.
+    State is the pair (empty set on V, held as one int mask per column, and
+    tau on the boundary); an up arrow at column k heals capped columns
+    xi_k..k in both parts.  xi_k is the largest cut xi for which the
+    closure of the current state on V_{xi,k}, with a healthy west wall,
+    keeps the long-interval property in column k.
     The cut test is monotone, so binary search applies (cross-checked
     against the linear scan when self_check is set).
     """
@@ -237,7 +288,8 @@ def run_droplet_algorithm(
     if omega.region != geometry.region:
         raise ValueError("configuration region does not match the geometry")
     empties = omega.empty
-    tau = {s: v for s, v in geometry.initial_tau().assignment.items()}
+    tau = dict(geometry.initial_tau().assignment)
+    masks = _column_masks(geometry, empties, tau)
 
     phi: List[str] = []
     droplets: Dict[int, DropletRecord] = {}
@@ -247,7 +299,7 @@ def run_droplet_algorithm(
 
     for k in range(1, geometry.N + 1):
         def holds(xi: int) -> bool:
-            return _column_has_long_interval(geometry, xi, k, empties, tau, ell)
+            return _column_has_long_interval(geometry, xi, k, masks, tau, ell)
 
         if not holds(1):
             phi.append(DOWN)
@@ -269,16 +321,15 @@ def run_droplet_algorithm(
                 xi_k = linear  # monotonicity violated; trust the scan
                 warnings.warn("xi search monotonicity violation; used linear scan")
 
-        healed = set()
         for i in range(xi_k, k + 1):
-            healed |= geometry.columns[i]
+            masks[i] = 0
             for c in geometry.caps[i]:
                 tau[c] = 1
-        empties = empties - healed
         columns = frozenset().union(*(geometry.capped_column(i) for i in range(xi_k, k + 1)))
         droplets[k] = DropletRecord(k=k, xi=xi_k, range=k - xi_k, columns=columns)
         phi.append(UP)
         if record_history:
+            empties = empties - columns
             history.append((empties, tuple(sorted(tau.items()))))
 
     return ArrowProfile(phi=tuple(phi), droplets=droplets, history=history)
@@ -301,7 +352,8 @@ def event_B2(
     window the closure of omega's empties inside V_{i,j} is taken with a
     healthy left wall and empty caps, and searched for a rightward path.
     """
-    tau = None  # read at the first window; most monitor calls close none
+    tau = geometry.initial_tau().assignment
+    masks = None  # built at the first window; most monitor calls close none
     for i in range(1, geometry.N + 1):
         if profile.phi[i - 1] == UP:
             continue
@@ -310,11 +362,16 @@ def event_B2(
                 break
             if j - i < n - 1:
                 continue
-            tau = tau or geometry.initial_tau().assignment
-            closed = _window_closure(geometry, i, j, omega.empty, tau)
-            path = duarte_path_exists(
-                closed, geometry.column_x(i), geometry.column_x(j)
-            )
+            if masks is None:
+                masks = _column_masks(geometry, omega.empty, tau)
+            closed = _window_closure(geometry, i, j, masks, tau)
+            sites = [
+                (geometry.column_x(c), b - geometry.height(c))
+                for c, m in enumerate(closed, start=i)
+                for b in range(1, 2 * geometry.height(c))
+                if m >> b & 1
+            ]
+            path = duarte_path_exists(sites, geometry.column_x(i), geometry.column_x(j))
             if path is not None:
                 return (i, j, path)
     return None
@@ -449,7 +506,9 @@ def monitor_trajectory(
         seed=seed,
         trial=trial,
     )
-    dyn = make_dynamics(params)
+    if geometry._dynamics is None:
+        geometry._dynamics = make_dynamics(params)
+    dyn = geometry._dynamics
     grid = list(np.arange(0.0, t_max + 1e-12, sample_interval))
     report = TrajectoryReport(
         first_b1=None,
@@ -461,7 +520,7 @@ def monitor_trajectory(
     )
 
     def observer(t: float, state: np.ndarray) -> None:
-        empty = frozenset(s for i, s in enumerate(dyn.sites) if state[i] == 0)
+        empty = frozenset(dyn.sites[i] for i in np.flatnonzero(state == 0).tolist())
         omega = Configuration(region, empty, exterior)
         profile = run_droplet_algorithm(omega, geometry, scales.ell, self_check=False)
         report.max_n_up = max(report.max_n_up, profile.n_up)

@@ -63,7 +63,7 @@ class Region:
         return iter(self.sites)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Region) and self.sites == other.sites
+        return self is other or (isinstance(other, Region) and self.sites == other.sites)
 
     def __hash__(self) -> int:
         return hash(self.sites)

@@ -8,9 +8,12 @@ from kcmlab.droplets import (
     DOWN,
     UP,
     ArrowProfile,
+    DropletRecord,
     ColumnGeometry,
     DuarteScales,
     _column_has_long_interval,
+    _column_masks,
+    _window_closure,
     check_droplet_disjointness,
     check_restriction_identity,
     estimate_uparrow_density,
@@ -113,6 +116,15 @@ class TestGeometry:
         x1 = g.column_x(1)
         assert tau.assignment[(x1 - 1, 0)] == 1
 
+    def test_initial_tau_built_once_and_never_changed(self):
+        g = ColumnGeometry(3)
+        tau = g.initial_tau()
+        assert g.initial_tau() is tau
+        before = dict(tau.assignment)
+        p = profile_of(g, set(g.columns[2]), 2)
+        assert p.droplets
+        assert tau.assignment == before
+
 
 class TestDropletAlgorithm:
     def test_all_occupied_is_all_down(self):
@@ -210,6 +222,111 @@ class TestDropletAlgorithm:
             assert a.phi[:k] == b.phi[:k]
 
 
+class TestColumnSweep:
+    @staticmethod
+    def oracle(g, i, j, empties, tau):
+        """closure_region on V_{i,j}, boundary read from tau (healthy when absent)."""
+        window = g.window(i, j)
+        bc = BoundaryCondition(window, {s: tau.get(s, 1) for s in outer_boundary(window)})
+        return closure_region(DUARTE, window, bc, empties & window.sites).closed
+
+    @staticmethod
+    def sweep(g, i, j, empties, tau):
+        """The sweep's closed masks as region sites, and the cap bits as a
+        dict from cap site to whether its bit is set."""
+        closed = _window_closure(g, i, j, _column_masks(g, empties, tau), tau)
+        sites, caps = set(), {}
+        for c, m in enumerate(closed, start=i):
+            x, h = g.column_x(c), g.height(c)
+            sites.update((x, b - h) for b in range(1, 2 * h) if m >> b & 1)
+            caps[(x, -h)] = bool(m & 1)
+            caps[(x, h)] = bool(m >> (2 * h) & 1)
+            assert m >> (2 * h + 1) == 0
+        return sites, caps
+
+    def test_sweep_equals_closure_region(self, rng):
+        geometries = {}
+        for _ in range(300):
+            N = int(rng.integers(1, 11))
+            g = geometries.setdefault(N, ColumnGeometry(N))
+            q = float(rng.uniform(0.0, 0.7))
+            empties = frozenset(s for s in sorted(g.region.sites) if rng.random() < q)
+            tau = dict(g.initial_tau().assignment)
+            flip = float(rng.random())
+            tau.update({c: 1 for c in sorted(tau) if tau[c] == 0 and rng.random() < flip})
+            j = int(rng.integers(1, N + 1))
+            i = int(rng.integers(1, j + 1))
+            sites, caps = self.sweep(g, i, j, empties, tau)
+            assert sites == self.oracle(g, i, j, empties, tau), (N, i, j)
+            assert caps == {c: tau[c] == 0 for c in caps}
+
+    @pytest.mark.parametrize("end", [-1, 1])
+    def test_spread_crosses_a_whole_column(self, end):
+        # a closed west column and one seed at an end of the column: the
+        # 1-D fixed point fills the column one site per step
+        g = ColumnGeometry(6)
+        x2, h2 = g.column_x(2), g.height(2)
+        tau = dict(g.initial_tau().assignment)
+        tau.update({c: 1 for c in g.caps[2]})
+        empties = frozenset(g.columns[1] | {(x2, end * (h2 - 1))})
+        sites, _ = self.sweep(g, 1, 2, empties, tau)
+        assert g.columns[2] <= sites
+        assert sites == self.oracle(g, 1, 2, empties, tau)
+        # the same with column 1's west wall as the closed column
+        x0 = g.column_x(1) - 1
+        h1 = g.height(1)
+        tau.update({(x0, y): 0 for y in range(-h1 + 1, h1)})
+        tau.update({c: 1 for c in g.caps[1]})
+        seed = frozenset({(g.column_x(1), end * (h1 - 1))})
+        sites, _ = self.sweep(g, 1, 1, seed, tau)
+        assert sites == g.columns[1] == self.oracle(g, 1, 1, seed, tau)
+
+    @staticmethod
+    def reference_pass(g, empties, ell):
+        """The droplet pass with every cut tested by closure_region and a
+        linear scan over the cuts."""
+        tau = dict(g.initial_tau().assignment)
+        phi, drops = [], {}
+        history = [(empties, tuple(sorted(tau.items())))]
+        for k in range(1, g.N + 1):
+            x, h = g.column_x(k), g.height(k)
+
+            def holds(xi):
+                closed = TestColumnSweep.oracle(g, xi, k, empties, tau)
+                best = run = 0
+                for y in range(-h, h + 1):
+                    filled = (x, y) in closed or tau.get((x, y), 1) == 0
+                    run = run + 1 if filled else 0
+                    best = max(best, run)
+                return best >= ell
+
+            cuts = [xi for xi in range(1, k + 1) if holds(xi)]
+            if cuts:
+                xi = max(cuts)
+                columns = frozenset().union(*(g.capped_column(i) for i in range(xi, k + 1)))
+                tau.update({c: 1 for c in columns if c in tau})
+                empties = empties - columns
+                drops[k] = DropletRecord(k=k, xi=xi, range=k - xi, columns=columns)
+            phi.append(UP if cuts else DOWN)
+            history.append((empties, tuple(sorted(tau.items()))))
+        return tuple(phi), drops, history
+
+    def test_pass_equals_reference_pass(self, rng):
+        geometries = {}
+        ups = wide = 0
+        for _ in range(120):
+            N = int(rng.integers(1, 8))
+            g = geometries.setdefault(N, ColumnGeometry(N))
+            q = float(rng.uniform(0.05, 0.5))
+            ell = int(rng.integers(1, 9))
+            empties = frozenset(s for s in sorted(g.region.sites) if rng.random() < q)
+            p = profile_of(g, empties, ell, record_history=True)
+            assert (p.phi, p.droplets, p.history) == self.reference_pass(g, empties, ell)
+            ups += p.n_up
+            wide += sum(1 for r in p.droplets.values() if r.range >= 1)
+        assert ups >= 100 and wide >= 5
+
+
 class TestCutTest:
     @staticmethod
     def healed_prefix_route(g, xi, k, empties, tau, ell):
@@ -247,7 +364,7 @@ class TestCutTest:
             k = int(rng.integers(1, N + 1))
             xi = int(rng.integers(1, k + 1))
             ell = int(rng.integers(2, 5))
-            got = _column_has_long_interval(g, xi, k, empties, tau, ell)
+            got = _column_has_long_interval(g, xi, k, _column_masks(g, empties, tau), tau, ell)
             assert got == self.healed_prefix_route(g, xi, k, empties, tau, ell)
             fired += got
         assert 0 < fired < 150
@@ -480,6 +597,20 @@ class TestTrajectories:
         scales = DuarteScales.toy(ell=2, N=2, n1=5, q=0.99)
         report = monitor_trajectory(scales, t_max=3.0, sample_interval=0.5, seed=3)
         assert report.first_b1 is None  # needs more up arrows than columns
+
+    def test_dynamics_built_once_per_geometry(self, monkeypatch):
+        import kcmlab.droplets as droplets
+
+        built = []
+        make = droplets.make_dynamics
+        monkeypatch.setattr(droplets, "make_dynamics", lambda p: built.append(p) or make(p))
+        scales = DuarteScales.toy(ell=2, N=3, n1=1, q=0.3)
+        g = ColumnGeometry(3)
+        first = monitor_trajectory(scales, t_max=2.0, sample_interval=0.5, seed=5, geometry=g)
+        again = monitor_trajectory(scales, t_max=2.0, sample_interval=0.5, seed=5, geometry=g)
+        fresh = monitor_trajectory(scales, t_max=2.0, sample_interval=0.5, seed=5)
+        assert first == again == fresh
+        assert len(built) == 2
 
     def test_bad_interval(self):
         scales = DuarteScales.toy(ell=2, N=2)
