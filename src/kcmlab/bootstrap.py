@@ -207,26 +207,21 @@ def duarte_path_exists(
 # Vectorized grid engine for large Bernoulli boxes.
 
 
-def _shift(a: np.ndarray, dx: int, dy: int) -> np.ndarray:
-    """out[i, j] = a[i + dx, j + dy], False beyond the edges."""
-    n, m = a.shape
-    out = np.zeros_like(a)
-    xs0, xs1 = max(0, -dx), min(n, n - dx)
-    ys0, ys1 = max(0, -dy), min(m, m - dy)
-    if xs0 < xs1 and ys0 < ys1:
-        out[xs0:xs1, ys0:ys1] = a[xs0 + dx : xs1 + dx, ys0 + dy : ys1 + dy]
-    return out
-
-
 def grid_step(family: UpdateFamily, infected: np.ndarray) -> np.ndarray:
-    """Synchronous bootstrap step on a boolean grid, healthy exterior."""
+    """Synchronous bootstrap step on a boolean grid, healthy exterior.  The
+    grid is padded once by the family's largest offset, and each offset is
+    one view of the padded grid."""
+    offsets = family.offsets()
+    r = max(max(abs(dx), abs(dy)) for dx, dy in offsets)
+    padded = np.pad(infected, r)
+    n, m = infected.shape
+    shifted = {(dx, dy): padded[r + dx : r + dx + n, r + dy : r + dy + m] for dx, dy in offsets}
     acc = None
     for rule in family.rules:
-        r = None
-        for dx, dy in rule:
-            sh = _shift(infected, dx, dy)
-            r = sh if r is None else (r & sh)
-        acc = r if acc is None else (acc | r)
+        hit = shifted[rule[0]]
+        for s in rule[1:]:
+            hit = hit & shifted[s]
+        acc = hit if acc is None else (acc | hit)
     return infected | acc
 
 

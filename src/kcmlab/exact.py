@@ -15,8 +15,13 @@ sparse S; no dense matrix is built.
 Both costs are those of the sparse factor, whose fill grows faster than the
 state count.  For East chains of 2^13 and 2^14 states, gap plus hitting time
 take about 1.5 s and 10 s on one x86-64 core, with a peak process memory of
-about 0.13 and 0.37 GB.  Energy barriers come from breadth-first search
-over zero-capped state spaces.
+about 0.13 and 0.37 GB.
+
+- Energy barriers and capped-vacancy reachability share one breadth-first
+  search, ``_capped_search``, over the states with at most k empties
+  reachable by legal flips from all-occupied, the exterior all infected.
+  ``east_barrier`` runs it on an East chain for k = 1, 2, ...;
+  ``an_reachability`` runs it once on the square Lambda(n, kappa).
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .families import UpdateFamily, compile_rules
+from .families import UpdateFamily, builtin_family, compile_rules
 from .geometry import ALL_HEALTHY, ALL_INFECTED, Region, Site
 
 GENERATOR_CAP = 1 << 14
@@ -40,6 +45,7 @@ BFS_CAP = 1 << 20
 # rate: far enough from 0 for S - sigma I to factor stably, and below every
 # gap that float64 resolves to better than about 1e-6 relative.
 _SHIFT = -1e-10
+_EAST1 = builtin_family("east1d")
 
 
 class StateSpaceError(ValueError):
@@ -258,16 +264,12 @@ def mean_hitting(gen: GeneratorOperator) -> Dict[str, object]:
     a_idx = hitting_states(gen)
     ac_idx = np.flatnonzero((np.arange(size) & gen.space.origin_bit) == 0)
 
-    # reverse reachability from A: breadth-first search over the reversed
-    # transition graph from an extra node joined to every state of A
-    rev = gen.L.T.tocoo()
-    src = np.concatenate([rev.row, np.full(len(a_idx), size)])
-    dst = np.concatenate([rev.col, a_idx])
-    graph = sp.csr_matrix((np.ones(len(src)), (src, dst)), shape=(size + 1, size + 1))
-    reached = np.zeros(size + 1, dtype=bool)
-    reached[csgraph.breadth_first_order(graph, size, directed=True,
-                                        return_predecessors=False)] = True
-    stuck = ac_idx[~reached[ac_idx]]
+    # The transition graph is symmetric: a site's constraint never reads the
+    # site itself (UpdateFamily.create rejects the origin) and 0 < q < 1, so
+    # every legal flip can be undone.  A state reaches A iff its connected
+    # component meets A.
+    _, labels = csgraph.connected_components(gen.L, directed=False)
+    stuck = ac_idx[~np.isin(labels[ac_idx], labels[a_idx])]
     if len(stuck):
         raise UnreachableStatesError(
             f"{len(stuck)} states cannot reach the target", stuck.tolist()
@@ -367,32 +369,61 @@ def check_proxy_bound(
     }
 
 
+def _capped_search(
+    family: UpdateFamily, region: Region, max_zeros: int, budget: int,
+    stop_at_origin: bool = False,
+) -> Tuple[bool, int]:
+    """Breadth-first search over legal flips from the all-occupied state of
+    ``region``, with an all-infected exterior and at most ``max_zeros``
+    simultaneous empties.  Returns whether the origin ever empties and how
+    many states were reached; with ``stop_at_origin`` the search ends when
+    the origin first empties, and the count is of the states seen so far."""
+    sites = sorted(region.sites)
+    origin_bit = 1 << sites.index((0, 0))
+    site_masks = _site_masks(family, sites, ALL_INFECTED)
+    seen = {0}
+    queue = deque([0])
+    origin_empties = False
+    while queue:
+        state = queue.popleft()
+        zeros = bin(state).count("1")
+        for i, masks in enumerate(site_masks):
+            if not _constraint_bit(masks, state):
+                continue
+            bit = 1 << i
+            if not state & bit and zeros + 1 > max_zeros:
+                continue
+            nxt = state ^ bit
+            if nxt & origin_bit:
+                if stop_at_origin:
+                    return True, len(seen)
+                origin_empties = True
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            queue.append(nxt)
+            if len(seen) > budget:
+                raise StateSpaceError(f"capped search exceeded its budget of {budget} states")
+    return origin_empties, len(seen)
+
+
 def east_barrier(ell: int, zero_cap: Optional[int] = None, budget: int = BFS_CAP) -> int:
     """Minimal number of simultaneous empties needed to empty site ell of an
-    East chain with a frozen empty at site 0, found by capped BFS."""
+    East chain with a frozen empty at site 0, found by capped search.
+
+    Sites 1..ell are ``Region.corner(ell, 1)``, whose origin is site ell.
+    The only exterior site that an East rule reads there is the wall west of
+    site 1, so the all-infected exterior of ``_capped_search`` is exactly
+    the frozen empty at site 0.  Each cap tried is one search, which stops
+    once site ell empties: at the cap that succeeds, the full capped state
+    space can be far larger (beyond the default budget at ell = 40, cap 6).
+    """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    target_bit = 1 << (ell - 1)  # bits cover sites 1..ell
-    caps = range(1, ell + 1) if zero_cap is None else [zero_cap]
-    for cap in caps:
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            state = queue.popleft()
-            if state & target_bit:
-                return cap
-            for i in range(ell):
-                bit = 1 << i
-                # legal iff left neighbour empty; site 1's is the frozen wall
-                if i > 0 and not state & (bit >> 1):
-                    continue
-                nxt = state ^ bit
-                if nxt in seen or bin(nxt).count("1") > cap:
-                    continue
-                seen.add(nxt)
-                queue.append(nxt)
-                if len(seen) > budget:
-                    raise MemoryError("east_barrier budget exhausted")
+    region = Region.corner(ell, 1)
+    for cap in range(1, ell + 1) if zero_cap is None else [zero_cap]:
+        if _capped_search(_EAST1, region, cap, budget, stop_at_origin=True)[0]:
+            return cap
     raise ValueError(f"site {ell} unreachable within cap {zero_cap}")
 
 
@@ -406,42 +437,15 @@ def lambda_region(n: int, kappa: int) -> Region:
 def an_reachability(
     family: UpdateFamily, n: int, kappa: int = 1, budget: int = BFS_CAP
 ) -> Dict[str, object]:
-    """BFS over legal flips from all-occupied with empty exterior, capped at
-    n - 1 simultaneous empties; reports whether the origin ever empties."""
+    """Capped search on ``lambda_region(n, kappa)`` with at most n - 1
+    simultaneous empties; reports whether the origin ever empties."""
     if n < 1:
         raise ValueError("n must be >= 1")
     region = lambda_region(n, kappa)
-    sites = sorted(region.sites)
-    origin_bit = 1 << sites.index((0, 0))
-    max_zeros = n - 1
-
-    # every exterior site is empty, so no rule is dropped
-    site_masks = _site_masks(family, sites, ALL_INFECTED)
-
-    seen = {0}
-    queue = deque([0])
-    origin_infectable = False
-    while queue:
-        state = queue.popleft()
-        zeros = bin(state).count("1")
-        for i in range(len(sites)):
-            if not _constraint_bit(site_masks[i], state):
-                continue
-            bit = 1 << i
-            nxt = state ^ bit
-            if not state & bit and zeros + 1 > max_zeros:
-                continue
-            if nxt & origin_bit:
-                origin_infectable = True
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            queue.append(nxt)
-            if len(seen) > budget:
-                raise MemoryError("an_reachability budget exhausted")
+    origin_infectable, reached = _capped_search(family, region, n - 1, budget)
     return {
         "origin_infectable": origin_infectable,
-        "reachable_states": len(seen),
-        "region_size": len(sites),
-        "max_zeros": max_zeros,
+        "reachable_states": reached,
+        "region_size": len(region),
+        "max_zeros": n - 1,
     }

@@ -31,9 +31,7 @@ from .geometry import (
     BoundaryExterior,
     Region,
     Site,
-    boundaries,
     derive_rng,
-    outer_boundary,
 )
 
 
@@ -109,29 +107,16 @@ _STATUS_HIT = 1
 _STATUS_TMAX = 2
 
 
-def _event_loop(
-    state,
-    site_ptr,
-    rule_ptr,
-    neighbors,
-    origin,
-    q,
-    t,
-    t_max,
-    mode,
-    dts,
-    picks,
-    coins,
-):
+def _event_loop(state, site_ptr, rule_ptr, neighbors, origin, q, t, t_max, mode,
+                dts, picks, coins):
     """Process one batch of pre-drawn randoms; returns
-    (status, t, events, legal, consumed)."""
+    (status, t, events, legal)."""
     events = 0
     legal = 0
-    nb = dts.shape[0]
-    for k in range(nb):
+    for k in range(dts.shape[0]):
         t_next = t + dts[k]
         if t_next > t_max:
-            return _STATUS_TMAX, t_max, events, legal, k
+            return _STATUS_TMAX, t_max, events, legal
         t = t_next
         i = picks[k]
         c = False
@@ -149,11 +134,9 @@ def _event_loop(
             continue
         legal += 1
         state[i] = 0 if coins[k] < q else 1
-        if mode == MODE_PERSISTENCE and i == origin:
-            return _STATUS_HIT, t, events, legal, k + 1
-        if mode == MODE_TAU0 and i == origin and state[i] == 0:
-            return _STATUS_HIT, t, events, legal, k + 1
-    return _STATUS_EXHAUSTED, t, events, legal, nb
+        if i == origin and (mode == MODE_PERSISTENCE or (mode == MODE_TAU0 and state[i] == 0)):
+            return _STATUS_HIT, t, events, legal
+    return _STATUS_EXHAUSTED, t, events, legal
 
 
 def _event_loop_lists(state, site_rules, origin, q, t, t_max, mode, dts, picks, coins):
@@ -188,10 +171,10 @@ def _event_loop_lists(state, site_rules, origin, q, t, t_max, mode, dts, picks, 
             break
     state[:] = st
     if hit >= 0:
-        return _STATUS_HIT, float(times[hit]), hit + 1, legal, hit + 1
+        return _STATUS_HIT, float(times[hit]), hit + 1, legal
     if stop < dts.shape[0]:
-        return _STATUS_TMAX, t_max, stop, legal, stop
-    return _STATUS_EXHAUSTED, float(times[-1]), stop, legal, stop
+        return _STATUS_TMAX, t_max, stop, legal
+    return _STATUS_EXHAUSTED, float(times[-1]), stop, legal
 
 
 _BATCH = 1 << 14
@@ -219,7 +202,7 @@ def _run(
         dts = rng.exponential(1.0 / n, size=batch)
         picks = rng.integers(0, n, size=batch)
         coins = rng.random(batch)
-        status, t, ev, lg, _ = _event_loop_lists(
+        status, t, ev, lg = _event_loop_lists(
             state, dyn.site_rules, origin_idx, q, t, t_max, mode, dts, picks, coins
         )
         events += ev
@@ -358,21 +341,16 @@ def east_chain_region(length: int) -> Region:
 
 
 def frozen_boundary_for(family: UpdateFamily, region: Region) -> BoundaryExterior:
-    """Default ergodicity-restoring frozen-empty boundaries.
+    """Ergodicity-restoring frozen boundary: an empty frame on every outer
+    boundary site, for every family.
 
-    East chains get an empty left wall, the two-dimensional East model empty
-    left and bottom walls, everything else (Duarte included) an empty frame
-    on every boundary site.  Without at least one frozen empty the
-    all-occupied state is an absorbing trap on a finite box.
+    Without a frozen empty the all-occupied state is an absorbing trap on a
+    finite box.  ``compile_rules`` reads the exterior only at sites that a
+    rule touches.  The East rules touch the west neighbour of a site and,
+    in two dimensions, its south neighbour; outside the region these lie in
+    the one-sided East walls (empty to the west and, for east2d, to the
+    south; occupied elsewhere), and the occupied walls are never read.  So
+    the frame compiles to the same East tables as those walls, whatever the
+    region, and no family needs a layout of its own.
     """
-    par, perp = boundaries(region)
-    if family.name == "east1d":
-        assignment = {s: 0 for s in par}
-        assignment.update({s: 1 for s in perp - par})
-    elif family.name == "east2d":
-        below = {s for s in perp if (s[0], s[1] + 1) in region.sites}
-        assignment = {s: 0 for s in par | below}
-        assignment.update({s: 1 for s in (perp - below) - par})
-    else:
-        assignment = {s: 0 for s in outer_boundary(region)}
-    return BoundaryExterior(BoundaryCondition(region, assignment))
+    return BoundaryExterior(BoundaryCondition.uniform(region, 0))

@@ -35,6 +35,7 @@ from kcmlab.exact import (
     build_generator,
     check_proxy_bound,
     east_barrier,
+    lambda_region,
     mean_hitting,
     spectral_gap,
 )
@@ -393,7 +394,7 @@ def test_10_classification():
 def test_11_reachability_matches_brute_force():
     for n in (1, 2):
         got = an_reachability(EAST2, n=n, kappa=1)
-        want = brute_force_reachability(EAST2, n=n, kappa=1)
+        want = brute_force_reachability(EAST2, lambda_region(n, 1), n - 1)
         assert got["origin_infectable"] == want["origin_infectable"]
         assert got["reachable_states"] == want["reachable_states"]
     print("\n[PASS] 11 capped reachability: east2d n in {1,2} matches the "

@@ -21,7 +21,15 @@ from kcmlab.exact import (
     spectral_gap,
 )
 from kcmlab.families import UpdateFamily, builtin_family
-from kcmlab.geometry import ALL_HEALTHY, ALL_INFECTED, Configuration, Region
+from kcmlab.geometry import (
+    ALL_HEALTHY,
+    ALL_INFECTED,
+    BoundaryCondition,
+    BoundaryExterior,
+    Configuration,
+    Region,
+    outer_boundary,
+)
 from kcmlab.kcm import (
     SimParams,
     batch_tau0,
@@ -316,11 +324,10 @@ class TestEastBarrier:
             east_barrier(0)
 
 
-def brute_force_reachability(family, n, kappa=1):
-    """Independent capped BFS over configurations with the public
-    constraint check and an all-infected exterior."""
-    region = lambda_region(n, kappa)
-    start = Configuration(region, frozenset(), exterior=ALL_INFECTED)
+def brute_force_reachability(family, region, max_zeros, exterior=ALL_INFECTED):
+    """Independent capped BFS over configurations of ``region`` with the
+    public constraint check, at most ``max_zeros`` empties at a time."""
+    start = Configuration(region, frozenset(), exterior=exterior)
     seen = {start.empty}
     queue = deque([start])
     origin = False
@@ -332,7 +339,7 @@ def brute_force_reachability(family, n, kappa=1):
             if s in config.empty:
                 nxt_empty = config.empty - {s}
             else:
-                if len(config.empty) + 1 > n - 1:
+                if len(config.empty) + 1 > max_zeros:
                     continue
                 nxt_empty = config.empty | {s}
             if s == (0, 0) and s in nxt_empty:
@@ -340,8 +347,35 @@ def brute_force_reachability(family, n, kappa=1):
             if nxt_empty in seen:
                 continue
             seen.add(nxt_empty)
-            queue.append(Configuration(region, nxt_empty, exterior=ALL_INFECTED))
+            queue.append(Configuration(region, nxt_empty, exterior=exterior))
     return {"origin_infectable": origin, "reachable_states": len(seen)}
+
+
+class TestCappedSearch:
+    def test_east_barrier_matches_brute_force(self):
+        # the chain 1..ell with only the wall at site 0 empty outside it
+        for ell in range(1, 9):
+            region = east_chain_region(ell)
+            wall = {s: int(s != (-ell, 0)) for s in outer_boundary(region)}
+            exterior = BoundaryExterior(BoundaryCondition(region, wall))
+            for cap in range(ell + 1):
+                want = brute_force_reachability(EAST1, region, cap, exterior)
+                if want["origin_infectable"]:
+                    assert east_barrier(ell, zero_cap=cap) == cap
+                else:
+                    with pytest.raises(ValueError, match="unreachable"):
+                        east_barrier(ell, zero_cap=cap)
+
+    def test_budget_exhausted_is_state_space_error(self):
+        with pytest.raises(StateSpaceError, match="budget of 10"):
+            east_barrier(12, budget=10)
+        with pytest.raises(StateSpaceError, match="budget of 10"):
+            an_reachability(EAST2, 3, budget=10)
+
+    def test_barrier_search_stops_when_the_origin_empties(self):
+        # at cap 4 site 8 first empties after 69 states, of 162 in the
+        # whole capped space
+        assert east_barrier(8, budget=100) == 4
 
 
 class TestAnReachability:
@@ -356,7 +390,7 @@ class TestAnReachability:
     def test_matches_brute_force(self):
         for family in (EAST1, EAST2, DUARTE):
             got = an_reachability(family, n=2, kappa=1)
-            want = brute_force_reachability(family, n=2, kappa=1)
+            want = brute_force_reachability(family, lambda_region(2, 1), 1)
             assert got["origin_infectable"] == want["origin_infectable"]
             assert got["reachable_states"] == want["reachable_states"]
 

@@ -5,8 +5,16 @@ import pytest
 from scipy.linalg import expm
 
 from kcmlab.exact import _constraint_bit, _site_masks, build_generator
-from kcmlab.families import builtin_family, constraint_satisfied
-from kcmlab.geometry import ALL_HEALTHY, ALL_INFECTED, Configuration, Region
+from kcmlab.families import builtin_family, compile_rules, constraint_satisfied
+from kcmlab.geometry import (
+    ALL_HEALTHY,
+    ALL_INFECTED,
+    BoundaryCondition,
+    BoundaryExterior,
+    Configuration,
+    Region,
+    boundaries,
+)
 from kcmlab.kcm import (
     SimParams,
     batch_tau0,
@@ -68,6 +76,29 @@ class TestDynamicsCompilation:
                     want = constraint_satisfied(config, DUARTE, site)
                     assert dyn.constraint(state, i) == want
                     assert _constraint_bit(masks[i], bits) == want
+
+    def test_frozen_frame_compiles_like_one_sided_east_walls(self):
+        # one-sided walls: empty west of the region (east1d), or west and
+        # south of it (east2d); every other boundary site occupied
+        def east_walls(family, region):
+            par, perp = boundaries(region)
+            empty = set(par)
+            if family.name == "east2d":
+                empty |= {s for s in perp if (s[0], s[1] + 1) in region.sites}
+            return BoundaryExterior(BoundaryCondition(
+                region, {s: int(s not in empty) for s in par | perp}
+            ))
+
+        notched = Region(
+            s for s in Region.rectangle(-4, 0, -3, 0).sites
+            if s not in {(-2, -1), (0, -3), (-4, 0)}
+        )
+        regions = [Region.corner(w, h) for w in range(1, 6) for h in range(1, 5)]
+        for family in (EAST1, builtin_family("east2d")):
+            for region in regions + [notched]:
+                sites = sorted(region.sites)
+                got = compile_rules(family, sites, frozen_boundary_for(family, region))
+                assert got == compile_rules(family, sites, east_walls(family, region))
 
     def test_healthy_exterior_drops_rules(self):
         region = Region([(0, 0)])
