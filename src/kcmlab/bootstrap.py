@@ -204,17 +204,23 @@ def duarte_path_exists(
 
 
 # ---------------------------------------------------------------------------
-# Vectorized grid engine for large Bernoulli boxes.
+# Vectorized grid engine for large Bernoulli boxes.  After t synchronous
+# steps the origin's state depends only on the cells at origin + (a sum of at
+# most t rule offsets).  These lie in the box origin + t*[min(0, min d),
+# max(0, max d)] on each axis, so the grid bootstrap steps only that box,
+# clipped to the grid, with healthy cells outside it.  On an axis where no
+# offset points one way, that side of the box stays at the origin.
 
 
 def grid_step(family: UpdateFamily, infected: np.ndarray) -> np.ndarray:
     """Synchronous bootstrap step on a boolean grid, healthy exterior.  The
-    grid is padded once by the family's largest offset, and each offset is
-    one view of the padded grid."""
+    grid is copied into a healthy frame as wide as the family's largest
+    offset, and each offset is one view of the framed grid."""
     offsets = family.offsets()
     r = max(max(abs(dx), abs(dy)) for dx, dy in offsets)
-    padded = np.pad(infected, r)
     n, m = infected.shape
+    padded = np.zeros((n + 2 * r, m + 2 * r), dtype=infected.dtype)
+    padded[r : r + n, r : r + m] = infected
     shifted = {(dx, dy): padded[r + dx : r + dx + n, r + dy : r + dy + m] for dx, dy in offsets}
     acc = None
     for rule in family.rules:
@@ -225,29 +231,90 @@ def grid_step(family: UpdateFamily, infected: np.ndarray) -> np.ndarray:
     return infected | acc
 
 
-def bootstrap_time_on_grid(
+# The first step cap of an uncapped grid bootstrap; see bootstrap_time_on_grid.
+_FIRST_CAP = 16
+
+
+def _dependence_window(
+    family: UpdateFamily, shape: Tuple[int, int], origin: Tuple[int, int], steps: int
+) -> Tuple[slice, slice]:
+    """The cells of the grid that the origin's state after ``steps`` steps
+    can depend on, as one slice per axis."""
+    offsets = family.offsets()
+    window = []
+    for axis in (0, 1):
+        lo = min(0, min(d[axis] for d in offsets))
+        hi = max(0, max(d[axis] for d in offsets))
+        c = origin[axis]
+        window.append(slice(max(0, c + steps * lo), min(shape[axis], c + steps * hi + 1)))
+    return tuple(window)
+
+
+def _first_infection(
     family: UpdateFamily,
     empty: np.ndarray,
     origin: Tuple[int, int],
-    max_steps: Optional[int] = None,
+    window: Tuple[slice, slice],
+    max_steps: Optional[int],
 ) -> Optional[int]:
-    """Number of synchronous steps until the origin cell is infected, or
-    None if the process reaches its fixed point first."""
-    infected = empty
-    if infected[origin]:
-        return 0
+    """Synchronous steps on ``empty[window]`` until the origin is infected;
+    None at a fixed point of the window or after ``max_steps`` steps."""
+    infected = empty[window]
+    local = (origin[0] - window[0].start, origin[1] - window[1].start)
     steps = 0
     count = int(infected.sum())
     while max_steps is None or steps < max_steps:
         infected = grid_step(family, infected)
         steps += 1
-        if infected[origin]:
+        if infected[local]:
             return steps
         new_count = int(infected.sum())
         if new_count == count:
             return None
         count = new_count
     return None
+
+
+def bootstrap_time_on_grid(
+    family: UpdateFamily,
+    empty: np.ndarray,
+    origin: Tuple[int, int],
+    max_steps: Optional[int] = None,
+) -> Optional[int]:
+    """Number of synchronous steps until the origin cell is infected, with a
+    healthy exterior; None if it is not infected.
+
+    Only the origin's dependence window is stepped: the grid cropped to the
+    box that the origin's state can read within the step cap, with healthy
+    cells outside it.  The origin's state at every step up to the cap is the
+    same as on the full grid.  With ``max_steps`` set, None means the origin
+    is still healthy after ``max_steps`` steps (it may have reached a fixed
+    point sooner).  With ``max_steps=None`` the window is that of cap 16, and
+    the cap doubles while the origin stays healthy, until the window covers
+    the origin's whole dependence region in the grid; only there does a
+    fixed point mean that the origin is never infected, and None means that.
+    """
+    empty = np.asarray(empty)
+    if empty.ndim != 2:
+        raise ValueError(f"grid must be 2-D, got shape {empty.shape}")
+    if len(origin) != 2 or not all(0 <= c < n for c, n in zip(origin, empty.shape)):
+        raise ValueError(f"origin {tuple(origin)} outside the {empty.shape[0]}x{empty.shape[1]} grid")
+    if max_steps is not None and max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    if empty[origin[0], origin[1]]:
+        return 0
+    if max_steps is not None:
+        window = _dependence_window(family, empty.shape, origin, max_steps)
+        return _first_infection(family, empty, origin, window, max_steps)
+    cap = _FIRST_CAP
+    while True:
+        window = _dependence_window(family, empty.shape, origin, cap)
+        if window == _dependence_window(family, empty.shape, origin, cap + 1):
+            return _first_infection(family, empty, origin, window, None)
+        t = _first_infection(family, empty, origin, window, cap)
+        if t is not None:
+            return t
+        cap *= 2
 
 
 def _quantile(sorted_vals: Sequence[float], frac: float) -> float:

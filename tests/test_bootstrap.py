@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from kcmlab import bootstrap
 from kcmlab.bootstrap import (
+    bootstrap_time_on_grid,
     closure_free,
     closure_region,
     duarte_path_exists,
@@ -23,6 +25,7 @@ from conftest import random_family, random_region, random_seed_set, random_tau
 
 DUARTE = builtin_family("duarte")
 EAST1 = builtin_family("east1d")
+EAST2 = builtin_family("east2d")
 
 
 def iterate_synchronous(family, region, tau, seed):
@@ -243,6 +246,89 @@ class TestGridEngine:
             )
             if not grown:
                 assert grid_set == in_window
+
+
+def full_grid_time(family, empty, origin, max_steps=None):
+    """The uncropped iteration: grid_step on the whole grid until the origin
+    is infected, the grid reaches its fixed point, or max_steps steps."""
+    cur = empty
+    steps = 0
+    while not cur[origin]:
+        if max_steps is not None and steps == max_steps:
+            return None
+        nxt = grid_step(family, cur)
+        if np.array_equal(nxt, cur):
+            return None
+        cur = nxt
+        steps += 1
+    return steps
+
+
+def edge_origins(n, m):
+    """The four corners, a middle cell of each edge, and the centre."""
+    return sorted({
+        (0, 0), (0, m - 1), (n - 1, 0), (n - 1, m - 1),
+        (0, m // 2), (n - 1, m // 2), (n // 2, 0), (n // 2, m - 1),
+        (n // 2, m // 2),
+    })
+
+
+class TestGridWindow:
+    """bootstrap_time_on_grid steps only the origin's dependence window; the
+    full-grid iteration of grid_step is its oracle."""
+
+    def test_matches_full_grid(self, rng):
+        families = [EAST1, EAST2, DUARTE] + [random_family(rng) for _ in range(9)]
+        for family in families:
+            for _ in range(4):
+                n, m = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+                empty = rng.random((n, m)) < float(rng.choice([0.05, 0.15, 0.3]))
+                for origin in edge_origins(n, m):
+                    for max_steps in (None, 0, 1, 5, 64):
+                        got = bootstrap_time_on_grid(family, empty, origin, max_steps)
+                        want = full_grid_time(family, empty, origin, max_steps)
+                        assert got == want, (family, origin, max_steps)
+
+    def test_uncapped_long_and_censored(self, rng):
+        # answers beyond the first cap of 16 make the window double; at low q
+        # on a grid of 201^2 some origins are never infected
+        n = 201
+        long_runs = censored = 0
+        for family, q in [(EAST1, 0.02), (EAST2, 0.01), (DUARTE, 0.05), (DUARTE, 0.2)]:
+            for _ in range(2):
+                empty = rng.random((n, n)) < q
+                for origin in edge_origins(n, n):
+                    got = bootstrap_time_on_grid(family, empty, origin)
+                    assert got == full_grid_time(family, empty, origin), (family, origin)
+                    long_runs += got is not None and got > 16
+                    censored += got is None
+        assert long_runs > 0 and censored > 0
+
+    def test_duarte_steps_only_its_window(self, monkeypatch):
+        # Duarte reads W, N and S: after 64 steps the origin depends on
+        # 64 columns to its west and 64 rows either side, none to its east
+        shapes = set()
+        real_step = bootstrap.grid_step
+
+        def recording_step(family, infected):
+            shapes.add(infected.shape)
+            return real_step(family, infected)
+
+        monkeypatch.setattr(bootstrap, "grid_step", recording_step)
+        empty = np.zeros((513, 513), dtype=bool)
+        empty[:, :200] = True
+        assert bootstrap_time_on_grid(DUARTE, empty, (256, 256), max_steps=64) is None
+        assert shapes == {(65, 129)}
+
+    def test_bad_input_rejected(self):
+        grid = np.zeros((5, 5), dtype=bool)
+        with pytest.raises(ValueError, match="2-D"):
+            bootstrap_time_on_grid(DUARTE, np.zeros(5, dtype=bool), (0,))
+        for origin in [(-1, 0), (0, -1), (5, 0), (0, 5), (0, 0, 0)]:
+            with pytest.raises(ValueError, match="outside"):
+                bootstrap_time_on_grid(DUARTE, grid, origin)
+        with pytest.raises(ValueError, match="max_steps"):
+            bootstrap_time_on_grid(DUARTE, grid, (2, 2), max_steps=-1)
 
 
 class TestMedianBootstrapTime:
