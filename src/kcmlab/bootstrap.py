@@ -328,7 +328,6 @@ def median_bootstrap_time(
     box: int,
     trials: int,
     seed: int,
-    stream: int = 0,
 ) -> dict:
     """Median first-infection time of the origin over Bernoulli(q) trials on
     the box of half-width ``box``; trials that reach a fixed point without
@@ -343,7 +342,7 @@ def median_bootstrap_time(
     origin = (box, box)
     times: List[float] = []
     for trial in range(trials):
-        rng = derive_rng(seed, stream, trial)
+        rng = derive_rng(seed, 0, trial)
         empty = rng.random((n, n)) < q
         t = bootstrap_time_on_grid(family, empty, origin)
         times.append(math.inf if t is None else float(t))

@@ -9,9 +9,11 @@ columns (the droplet) and moves on; its cut xi_k is tested by a closure on
 V_{xi,k} with a healthy west wall.  Coarse-graining the arrows over blocks
 yields the 0/1 profiles whose East-like paths are validated here.
 
-The pass and the crossing event B2 hold each column as one Python int, one
-bit per site, and close a window by a single west-to-east sweep with a 1-D
-bit fixed point per column (the Duarte rules never look east).
+The pass's whole state is a list of column masks: one Python int per
+column, one bit per site, caps included (a set cap bit is an empty cap).
+Healing a column sets its int to 0.  The pass and the crossing event B2
+close a window by a single west-to-east sweep with a 1-D bit fixed point
+per column (the Duarte rules never look east).
 ``bootstrap.closure_region`` is the general engine and the tests' oracle.
 """
 
@@ -125,7 +127,6 @@ class ColumnGeometry:
             self.columns[i] = frozenset((x, j) for j in range(-h + 1, h))
             self.caps[i] = frozenset({(x, h), (x, -h)})
         self.region = Region.column_union(self.columns.values())
-        self._windows: Dict[Tuple[int, int], Region] = {}
         self._tau: Optional[BoundaryCondition] = None
         self._dynamics = None  # the Duarte KCM tables, built by monitor_trajectory
 
@@ -135,16 +136,11 @@ class ColumnGeometry:
     def column_x(self, i: int) -> int:
         return i - self.N
 
-    def capped_column(self, i: int) -> FrozenSet[Site]:
-        return self.columns[i] | self.caps[i]
-
     def window(self, i: int, j: int) -> Region:
-        """V_{i,j}, the union of columns i..j, built once per (i, j)."""
+        """V_{i,j}, the union of columns i..j."""
         if not 1 <= i <= j <= self.N:
             raise ValueError("need 1 <= i <= j <= N")
-        if (i, j) not in self._windows:
-            self._windows[i, j] = Region.column_union(self.columns[k] for k in range(i, j + 1))
-        return self._windows[i, j]
+        return Region.column_union(self.columns[k] for k in range(i, j + 1))
 
     def initial_tau(self) -> BoundaryCondition:
         """tau_par == 1 (healthy left wall), tau_perp == 0 (empty caps),
@@ -159,14 +155,13 @@ class DropletRecord:
     k: int
     xi: int
     range: int
-    columns: FrozenSet[Site]
 
 
 @dataclass(frozen=True)
 class ArrowProfile:
     phi: Tuple[str, ...]
     droplets: Dict[int, DropletRecord]
-    history: Optional[List[Tuple[FrozenSet[Site], Tuple[Tuple[Site, int], ...]]]] = None
+    history: Tuple[Tuple[int, ...], ...] = ()  # column masks before the pass and after each column
 
     @property
     def n_up(self) -> int:
@@ -179,36 +174,22 @@ class ArrowProfile:
 _DUARTE = builtin_family("duarte")
 
 
-def _column_masks(
-    geometry: ColumnGeometry, empties: FrozenSet[Site], tau: Dict[Site, int]
-) -> List[int]:
-    """Column c's empties as one int at index c: bit y + h_c stands for the
-    site (x_c, y), so bits 0 and 2h_c are its caps, which stay clear.
-    Index 0 holds column 1's west wall, its sites with tau 0, in column 1's
-    frame."""
+def _column_masks(geometry: ColumnGeometry, empties: FrozenSet[Site]) -> List[int]:
+    """Column c's empties as one int at index c - 1: bit y + h_c stands for
+    the site (x_c, y), so bits 0 and 2h_c are its caps, set because the caps
+    start empty (tau_perp = 0)."""
     N = geometry.N
-    masks = [0] * (N + 1)
+    masks = [1 | 1 << 2 * geometry.height(c) for c in range(1, N + 1)]
     for x, y in empties:
-        masks[x + N] |= 1 << (y + N - N * x)  # h_c = N(1 - x_c)
-    h = geometry.height(1)
-    x = geometry.column_x(1) - 1
-    for y in range(-h + 1, h):
-        if tau.get((x, y), 1) == 0:
-            masks[0] |= 1 << (y + h)
+        masks[x + N - 1] |= 1 << (y + N - N * x)  # h_c = N(1 - x_c)
     return masks
 
 
 def _window_closure(
-    geometry: ColumnGeometry,
-    i: int,
-    j: int,
-    masks: Sequence[int],
-    tau: Dict[Site, int],
+    geometry: ColumnGeometry, i: int, j: int, masks: Sequence[int]
 ) -> List[int]:
-    """Closed masks of columns i..j under the Duarte closure on V_{i,j}.
-    A cap bit is set when its tau value is 0.  The west wall is masks[0]
-    when i = 1; when i > 1 it is column i - 1, which is not in tau and
-    reads healthy.
+    """Closed masks of columns i..j under the Duarte closure on V_{i,j} with
+    a healthy west wall.  Cap bits never change.
 
     A Duarte site needs two of its N, S and W neighbours infected, and no
     rule looks east.  So nothing east of column c can change column c, and
@@ -224,17 +205,11 @@ def _window_closure(
     healthy west in either window.
     """
     N = geometry.N
-    x, h = geometry.column_x(i), geometry.height(i)
-    w = masks[0] if i == 1 else 0
+    h = geometry.height(i)
+    w = 0
     closed = []
-    for c in range(i, j + 1):
-        top = 1 << (2 * h)
-        interior = top - 2
-        inf = masks[c]
-        if tau.get((x, -h), 1) == 0:
-            inf |= 1
-        if tau.get((x, h), 1) == 0:
-            inf |= top
+    for inf in masks[i - 1 : j]:
+        interior = (1 << 2 * h) - 2
         while True:
             up, dn = inf << 1, inf >> 1
             grown = inf | (((up & dn) | (w & (up | dn))) & interior)
@@ -243,21 +218,16 @@ def _window_closure(
             inf = grown
         closed.append(inf)
         w = inf >> N
-        x, h = x + 1, h - N
+        h -= N
     return closed
 
 
 def _column_has_long_interval(
-    geometry: ColumnGeometry,
-    xi: int,
-    k: int,
-    masks: Sequence[int],
-    tau: Dict[Site, int],
-    ell: int,
+    geometry: ColumnGeometry, xi: int, k: int, masks: Sequence[int], ell: int
 ) -> bool:
     """Whether the closure on V_{xi,k} contains a vertical run of length
-    >= ell inside the capped column k (caps count when their tau is 0)."""
-    m = _window_closure(geometry, xi, k, masks, tau)[-1]
+    >= ell inside the capped column k (caps count while their bits are set)."""
+    m = _window_closure(geometry, xi, k, masks)[-1]
     run = 1  # bit b of m is set iff bits b..b+run-1 of the column are
     while run < ell and m:
         s = min(run, ell - run)
@@ -271,68 +241,53 @@ def run_droplet_algorithm(
     geometry: ColumnGeometry,
     ell: int,
     self_check: bool = True,
-    record_history: bool = False,
 ) -> ArrowProfile:
     """One deterministic left-to-right pass producing the arrow profile.
 
-    State is the pair (empty set on V, held as one int mask per column, and
-    tau on the boundary); an up arrow at column k heals capped columns
-    xi_k..k in both parts.  xi_k is the largest cut xi for which the
-    closure of the current state on V_{xi,k}, with a healthy west wall,
-    keeps the long-interval property in column k.
-    The cut test is monotone, so binary search applies (cross-checked
-    against the linear scan when self_check is set).
+    The state is the list of column masks, caps included; an up arrow at
+    column k heals capped columns xi_k..k by setting their masks to 0.
+    xi_k is the largest cut xi for which the closure of the current state
+    on V_{xi,k}, with a healthy west wall, keeps the long-interval property
+    in column k.  The cut test is monotone, so binary search applies
+    (cross-checked against the linear scan when self_check is set).  The
+    profile's history holds the masks before the first column and after
+    each column.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
     if omega.region != geometry.region:
         raise ValueError("configuration region does not match the geometry")
-    empties = omega.empty
-    tau = dict(geometry.initial_tau().assignment)
-    masks = _column_masks(geometry, empties, tau)
-
+    masks = _column_masks(geometry, omega.empty)
     phi: List[str] = []
     droplets: Dict[int, DropletRecord] = {}
-    history = [] if record_history else None
-    if record_history:
-        history.append((empties, tuple(sorted(tau.items()))))
+    history = [tuple(masks)]
 
     for k in range(1, geometry.N + 1):
         def holds(xi: int) -> bool:
-            return _column_has_long_interval(geometry, xi, k, masks, tau, ell)
+            return _column_has_long_interval(geometry, xi, k, masks, ell)
 
-        if not holds(1):
+        if holds(1):
+            lo, hi = 1, k  # holds(lo) is true; find the largest true
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if holds(mid):
+                    lo = mid
+                else:
+                    hi = mid - 1
+            xi_k = lo
+            if self_check:
+                linear = max(x for x in range(1, k + 1) if holds(x))
+                if linear != xi_k:
+                    xi_k = linear  # monotonicity violated; trust the scan
+                    warnings.warn("xi search monotonicity violation; used linear scan")
+            masks[xi_k - 1 : k] = [0] * (k - xi_k + 1)
+            droplets[k] = DropletRecord(k=k, xi=xi_k, range=k - xi_k)
+            phi.append(UP)
+        else:
             phi.append(DOWN)
-            if record_history:
-                history.append((empties, tuple(sorted(tau.items()))))
-            continue
+        history.append(tuple(masks))
 
-        lo, hi = 1, k  # holds(lo) is true; find the largest true
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if holds(mid):
-                lo = mid
-            else:
-                hi = mid - 1
-        xi_k = lo
-        if self_check:
-            linear = max(x for x in range(1, k + 1) if holds(x))
-            if linear != xi_k:
-                xi_k = linear  # monotonicity violated; trust the scan
-                warnings.warn("xi search monotonicity violation; used linear scan")
-
-        for i in range(xi_k, k + 1):
-            masks[i] = 0
-            for c in geometry.caps[i]:
-                tau[c] = 1
-        columns = frozenset().union(*(geometry.capped_column(i) for i in range(xi_k, k + 1)))
-        droplets[k] = DropletRecord(k=k, xi=xi_k, range=k - xi_k, columns=columns)
-        phi.append(UP)
-        if record_history:
-            empties = empties - columns
-            history.append((empties, tuple(sorted(tau.items()))))
-
-    return ArrowProfile(phi=tuple(phi), droplets=droplets, history=history)
+    return ArrowProfile(phi=tuple(phi), droplets=droplets, history=tuple(history))
 
 
 def event_B1(profile: ArrowProfile, n: int) -> bool:
@@ -352,7 +307,6 @@ def event_B2(
     window the closure of omega's empties inside V_{i,j} is taken with a
     healthy left wall and empty caps, and searched for a rightward path.
     """
-    tau = geometry.initial_tau().assignment
     masks = None  # built at the first window; most monitor calls close none
     for i in range(1, geometry.N + 1):
         if profile.phi[i - 1] == UP:
@@ -363,8 +317,8 @@ def event_B2(
             if j - i < n - 1:
                 continue
             if masks is None:
-                masks = _column_masks(geometry, omega.empty, tau)
-            closed = _window_closure(geometry, i, j, masks, tau)
+                masks = _column_masks(geometry, omega.empty)
+            closed = _window_closure(geometry, i, j, masks)
             sites = [
                 (geometry.column_x(c), b - geometry.height(c))
                 for c, m in enumerate(closed, start=i)
@@ -433,29 +387,22 @@ def validate_coarse_path(
 
 
 def check_droplet_disjointness(profile: ArrowProfile) -> bool:
-    recs = list(profile.droplets.values())
-    for a in range(len(recs)):
-        for b in range(a + 1, len(recs)):
-            if recs[a].columns & recs[b].columns:
-                return False
-    return True
+    """The droplets' column ranges [xi, k] are pairwise disjoint."""
+    spans = sorted((r.xi, r.k) for r in profile.droplets.values())
+    return all(k < xi for (_, k), (xi, _) in zip(spans, spans[1:]))
 
 
-def check_restriction_identity(profile: ArrowProfile, geometry: ColumnGeometry) -> bool:
-    """Off the union of droplets, every recorded state equals the initial one."""
-    if profile.history is None:
-        raise ValueError("profile was run without history recording")
-    e0, t0 = profile.history[0]
-    t0 = dict(t0)
-    for step, (e, t) in enumerate(profile.history[1:], start=1):
-        healed = frozenset().union(
-            *(r.columns for r in profile.droplets.values() if r.k <= step)
-        ) if profile.droplets else frozenset()
-        if (e0 - healed) != (e - healed):
-            return False
-        t = dict(t)
-        for s, v in t0.items():
-            if s not in healed and t[s] != v:
+def check_restriction_identity(profile: ArrowProfile) -> bool:
+    """Off the union of droplets, every recorded state equals the initial one:
+    after column `step`, each column outside the droplets with k <= step
+    still has its initial mask."""
+    if not profile.history:
+        raise ValueError("profile has no history")
+    first = profile.history[0]
+    for step, masks in enumerate(profile.history[1:], start=1):
+        spans = [(r.xi, r.k) for r in profile.droplets.values() if r.k <= step]
+        for c, (m0, m) in enumerate(zip(first, masks), start=1):
+            if m != m0 and not any(xi <= c <= k for xi, k in spans):
                 return False
     return True
 

@@ -67,23 +67,22 @@ class UnreachableStatesError(ValueError):
 @dataclass(frozen=True)
 class StateSpace:
     """Full enumeration of {0,1}^region; the state integer doubles as its
-    index.  Bit i corresponds to sorted site i; set bit = empty."""
+    index.  Bit i corresponds to sorted site i; set bit = empty.  The
+    tracked origin is (0, 0)."""
 
     region: Region
     sites: Tuple[Site, ...]
-    origin: Site
 
     @classmethod
-    def build(cls, region: Region, origin: Site = (0, 0), cap: int = GENERATOR_CAP):
+    def build(cls, region: Region):
         n = len(region.sites)
-        if 2 ** n > cap:
+        if 2 ** n > GENERATOR_CAP:
             raise StateSpaceError(
-                f"state space 2^{n} exceeds cap {cap}"
+                f"state space 2^{n} exceeds cap {GENERATOR_CAP}"
             )
-        sites = tuple(sorted(region.sites))
-        if origin not in region.sites:
+        if (0, 0) not in region.sites:
             raise ValueError("origin must lie in the region")
-        return cls(region=region, sites=sites, origin=origin)
+        return cls(region=region, sites=tuple(sorted(region.sites)))
 
     @property
     def n(self) -> int:
@@ -95,7 +94,7 @@ class StateSpace:
 
     @property
     def origin_bit(self) -> int:
-        return 1 << self.sites.index(self.origin)
+        return 1 << self.sites.index((0, 0))
 
 
 def _site_masks(
@@ -139,14 +138,12 @@ def build_generator(
     region: Region,
     q: float,
     exterior=ALL_HEALTHY,
-    origin: Site = (0, 0),
-    cap: int = GENERATOR_CAP,
 ) -> GeneratorOperator:
     """Sparse rate operator: state -> state^x at rate c_x * (q to empty,
     1 - q to occupied); diagonal balances each row exactly."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0,1), got {q}")
-    space = StateSpace.build(region, origin, cap)
+    space = StateSpace.build(region)
     site_masks = _site_masks(family, space.sites, exterior)
     n, size = space.n, space.size
     p = 1.0 - q
@@ -205,7 +202,7 @@ def _spd_factor(A: sp.spmatrix) -> spla.SuperLU:
     )
 
 
-def spectral_gap(gen: GeneratorOperator, tol: float = 1e-8) -> Dict[str, float]:
+def spectral_gap(gen: GeneratorOperator) -> Dict[str, float]:
     """Smallest nonzero eigenvalue of -L on the ergodic component of the
     all-occupied state, with a residual cross-check.
 
@@ -237,7 +234,7 @@ def spectral_gap(gen: GeneratorOperator, tol: float = 1e-8) -> Dict[str, float]:
     lam = float(evals[order[1]])
     v = evecs[:, order[1]] / d
     residual = float(np.max(np.abs(Lc @ v + lam * v)) / max(1.0, np.max(np.abs(v))))
-    if residual > max(tol, 1e-8):
+    if residual > 1e-8:
         raise ArithmeticError(f"eigen residual {residual} exceeds tolerance")
     return {
         "gap": lam,

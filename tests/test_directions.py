@@ -63,6 +63,14 @@ class TestStableSets:
         assert set(stable) == {(0, 1), (0, -1)}
         assert report.classification == SUPERCRITICAL_UNROOTED
 
+    def test_no_stable_direction(self):
+        # each unit direction u is destabilized by the one-site rule at -u
+        fam = UpdateFamily.create("nn1", [[(1, 0)], [(-1, 0)], [(0, 1)], [(0, -1)]])
+        report = stable_directions(fam)
+        assert report.arcs == () and not report.full_circle
+        assert not any(report.is_stable(u) for u in primitive_directions(5))
+        assert report.classification == SUPERCRITICAL_UNROOTED
+
     def test_full_circle_when_no_rule_destabilizes(self):
         fam = UpdateFamily.create("n", [[(1, 0), (-1, 0)]])
         report = stable_directions(fam)

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from kcmlab.bootstrap import closure_region
@@ -25,7 +26,8 @@ from kcmlab.droplets import (
     validate_coarse_path,
 )
 from kcmlab.families import builtin_family
-from kcmlab.geometry import BoundaryCondition, Configuration, outer_boundary
+from kcmlab.geometry import BoundaryCondition, BoundaryExterior, Configuration, outer_boundary
+from kcmlab.kcm import SimParams, make_dynamics, observe_trajectory
 
 DUARTE = builtin_family("duarte")
 
@@ -33,6 +35,18 @@ DUARTE = builtin_family("duarte")
 def profile_of(geometry, empties, ell, **kw):
     omega = Configuration(geometry.region, frozenset(empties))
     return run_droplet_algorithm(omega, geometry, ell, **kw)
+
+
+def encode(geometry, empties, tau):
+    """(empties, tau) as the pass's column masks, written out site by site:
+    bit y + h_c of entry c - 1 is set when (x_c, y) is empty, or is a cap
+    whose tau is 0."""
+    masks = []
+    for c in range(1, geometry.N + 1):
+        x, h = geometry.column_x(c), geometry.height(c)
+        masks.append(sum(1 << (y + h) for y in range(-h, h + 1)
+                         if (x, y) in empties or tau.get((x, y), 1) == 0))
+    return masks
 
 
 def one_step_unconstrained(geometry, empties, tau, x):
@@ -103,7 +117,6 @@ class TestGeometry:
         g = ColumnGeometry(4)
         assert g.window(2, 3).sites == g.columns[2] | g.columns[3]
         assert g.window(1, 4).sites == g.region.sites
-        assert g.window(2, 3) is g.window(2, 3)
         with pytest.raises(ValueError):
             g.window(3, 2)
 
@@ -199,14 +212,26 @@ class TestDropletAlgorithm:
             for r in p.droplets.values():
                 assert 1 <= r.xi <= r.k
                 assert r.range == r.k - r.xi
+        overlap = {2: DropletRecord(k=2, xi=1, range=1), 3: DropletRecord(k=3, xi=2, range=1)}
+        assert not check_droplet_disjointness(ArrowProfile((DOWN, UP, UP), overlap))
 
     def test_restriction_identity_random(self, rng):
         g = ColumnGeometry(4)
         sites = sorted(g.region.sites)
         for _ in range(30):
             empties = {s for s in sites if rng.random() < 0.3}
-            p = profile_of(g, empties, 2, self_check=False, record_history=True)
-            assert check_restriction_identity(p, g)
+            p = profile_of(g, empties, 2, self_check=False)
+            assert len(p.history) == g.N + 1
+            assert check_restriction_identity(p)
+            # a column outside every droplet that changes breaks the identity
+            outside = [c for c in range(1, 5)
+                       if not any(r.xi <= c <= r.k for r in p.droplets.values())]
+            if outside:
+                c = outside[0]
+                bad = [list(m) for m in p.history]
+                bad[-1][c - 1] ^= 2
+                tampered = ArrowProfile(p.phi, p.droplets, tuple(map(tuple, bad)))
+                assert not check_restriction_identity(tampered)
 
     def test_prefix_locality(self, rng):
         # the first k arrows only depend on the empties in columns 1..k
@@ -233,8 +258,9 @@ class TestColumnSweep:
     @staticmethod
     def sweep(g, i, j, empties, tau):
         """The sweep's closed masks as region sites, and the cap bits as a
-        dict from cap site to whether its bit is set."""
-        closed = _window_closure(g, i, j, _column_masks(g, empties, tau), tau)
+        dict from cap site to whether its bit is set.  A cap with tau 1 is
+        a healed cap, whose bit is clear."""
+        closed = _window_closure(g, i, j, encode(g, empties, tau))
         sites, caps = set(), {}
         for c, m in enumerate(closed, start=i):
             x, h = g.column_x(c), g.height(c)
@@ -252,6 +278,7 @@ class TestColumnSweep:
             q = float(rng.uniform(0.0, 0.7))
             empties = frozenset(s for s in sorted(g.region.sites) if rng.random() < q)
             tau = dict(g.initial_tau().assignment)
+            assert _column_masks(g, empties) == encode(g, empties, tau)
             flip = float(rng.random())
             tau.update({c: 1 for c in sorted(tau) if tau[c] == 0 and rng.random() < flip})
             j = int(rng.integers(1, N + 1))
@@ -272,22 +299,15 @@ class TestColumnSweep:
         sites, _ = self.sweep(g, 1, 2, empties, tau)
         assert g.columns[2] <= sites
         assert sites == self.oracle(g, 1, 2, empties, tau)
-        # the same with column 1's west wall as the closed column
-        x0 = g.column_x(1) - 1
-        h1 = g.height(1)
-        tau.update({(x0, y): 0 for y in range(-h1 + 1, h1)})
-        tau.update({c: 1 for c in g.caps[1]})
-        seed = frozenset({(g.column_x(1), end * (h1 - 1))})
-        sites, _ = self.sweep(g, 1, 1, seed, tau)
-        assert sites == g.columns[1] == self.oracle(g, 1, 1, seed, tau)
 
     @staticmethod
     def reference_pass(g, empties, ell):
         """The droplet pass with every cut tested by closure_region and a
-        linear scan over the cuts."""
+        linear scan over the cuts; its (empties, tau) history is encoded as
+        column masks."""
         tau = dict(g.initial_tau().assignment)
         phi, drops = [], {}
-        history = [(empties, tuple(sorted(tau.items())))]
+        history = [tuple(encode(g, empties, tau))]
         for k in range(1, g.N + 1):
             x, h = g.column_x(k), g.height(k)
 
@@ -303,13 +323,13 @@ class TestColumnSweep:
             cuts = [xi for xi in range(1, k + 1) if holds(xi)]
             if cuts:
                 xi = max(cuts)
-                columns = frozenset().union(*(g.capped_column(i) for i in range(xi, k + 1)))
-                tau.update({c: 1 for c in columns if c in tau})
-                empties = empties - columns
-                drops[k] = DropletRecord(k=k, xi=xi, range=k - xi, columns=columns)
+                for i in range(xi, k + 1):
+                    empties = empties - g.columns[i]
+                    tau.update({c: 1 for c in g.caps[i]})
+                drops[k] = DropletRecord(k=k, xi=xi, range=k - xi)
             phi.append(UP if cuts else DOWN)
-            history.append((empties, tuple(sorted(tau.items()))))
-        return tuple(phi), drops, history
+            history.append(tuple(encode(g, empties, tau)))
+        return tuple(phi), drops, tuple(history)
 
     def test_pass_equals_reference_pass(self, rng):
         geometries = {}
@@ -320,7 +340,7 @@ class TestColumnSweep:
             q = float(rng.uniform(0.05, 0.5))
             ell = int(rng.integers(1, 9))
             empties = frozenset(s for s in sorted(g.region.sites) if rng.random() < q)
-            p = profile_of(g, empties, ell, record_history=True)
+            p = profile_of(g, empties, ell)
             assert (p.phi, p.droplets, p.history) == self.reference_pass(g, empties, ell)
             ups += p.n_up
             wide += sum(1 for r in p.droplets.values() if r.range >= 1)
@@ -364,7 +384,7 @@ class TestCutTest:
             k = int(rng.integers(1, N + 1))
             xi = int(rng.integers(1, k + 1))
             ell = int(rng.integers(2, 5))
-            got = _column_has_long_interval(g, xi, k, _column_masks(g, empties, tau), tau, ell)
+            got = _column_has_long_interval(g, xi, k, encode(g, empties, tau), ell)
             assert got == self.healed_prefix_route(g, xi, k, empties, tau, ell)
             fired += got
         assert 0 < fired < 150
@@ -414,7 +434,7 @@ class TestEastMotionOfArrows:
             rec = base.droplets[4]
             assert rec.xi == 3
             x = (x2, y0)
-            assert x not in rec.columns
+            assert not g.column_x(rec.xi) <= x[0] <= g.column_x(rec.k)
             new = profile_of(g, set(empties) | {x}, 2, self_check=False)
             if new.phi[3] != DOWN:
                 continue
@@ -446,7 +466,7 @@ class TestEastMotionOfArrows:
                 new = None
                 for i in ups:
                     rec = base.droplets[i]
-                    if i <= j or x in rec.columns:
+                    if i <= j or g.column_x(rec.xi) <= x[0] <= g.column_x(rec.k):
                         continue
                     if new is None:
                         new = profile_of(g, set(empties) ^ {x}, 2, self_check=False)
@@ -597,6 +617,29 @@ class TestTrajectories:
         scales = DuarteScales.toy(ell=2, N=2, n1=5, q=0.99)
         report = monitor_trajectory(scales, t_max=3.0, sample_interval=0.5, seed=3)
         assert report.first_b1 is None  # needs more up arrows than columns
+
+    def test_first_b2_is_the_first_sampled_crossing(self):
+        # ell = 50 exceeds every column, so no arrow points up and every
+        # window of two or more columns is searched for a crossing
+        scales = DuarteScales.toy(ell=50, N=3, n2=2, q=0.5)
+        g = ColumnGeometry(3)
+        report = monitor_trajectory(scales, t_max=4.0, sample_interval=0.5, seed=7, geometry=g)
+        params = SimParams(DUARTE, 0.5, g.region, BoundaryExterior(g.initial_tau()),
+                           t_max=4.0, seed=7)
+        dyn = make_dynamics(params)
+        crossed = []
+
+        def observer(t, state):
+            omega = Configuration(g.region, frozenset(
+                s for s, v in zip(dyn.sites, state.tolist()) if v == 0))
+            p = run_droplet_algorithm(omega, g, 50)
+            assert p.n_up == 0
+            if event_B2(omega, p, g, 2) is not None:
+                crossed.append(t)
+
+        observe_trajectory(params, list(np.arange(0.0, 4.0 + 1e-12, 0.5)), observer, dyn=dyn)
+        assert crossed and report.first_b2 == crossed[0]
+        assert report.first_b1 is None and report.samples == 9
 
     def test_dynamics_built_once_per_geometry(self, monkeypatch):
         import kcmlab.droplets as droplets

@@ -388,11 +388,15 @@ class TestAnReachability:
             assert len(region.sites) == side * side
 
     def test_matches_brute_force(self):
-        for family in (EAST1, EAST2, DUARTE):
+        # "far" reads five sites west, past the 9 x 9 square, so every site
+        # of its five westmost columns, the origin's among them, can empty
+        far = UpdateFamily.create("far", [[(-5, 0)]])
+        for family in (EAST1, EAST2, DUARTE, far):
             got = an_reachability(family, n=2, kappa=1)
             want = brute_force_reachability(family, lambda_region(2, 1), 1)
             assert got["origin_infectable"] == want["origin_infectable"]
             assert got["reachable_states"] == want["reachable_states"]
+        assert (want["origin_infectable"], want["reachable_states"]) == (True, 46)
 
     def test_east2d_small_counts(self):
         out = an_reachability(EAST2, n=2, kappa=1)
