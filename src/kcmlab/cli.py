@@ -46,6 +46,10 @@ def main(ctx, config_path):
     if config_path:
         with open(config_path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise click.ClickException(
+                f"{config_path}: config must be a JSON object, got {type(data).__name__}"
+            )
         if all(isinstance(v, dict) for v in data.values()) and data:
             ctx.default_map = data
         else:
@@ -192,8 +196,8 @@ def an_reach(family, n, kappa):
 @click.option("--q", type=float, default=0.3, show_default=True)
 @click.option("--n-columns", "--N", "n_columns", type=int, required=True)
 @click.option("--ell", type=int, required=True)
-@click.option("--n1", type=int, default=1, show_default=True)
-@click.option("--n2", type=int, default=2, show_default=True)
+@click.option("--n1", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--n2", type=click.IntRange(min=1), default=2, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--input", "input_path", type=click.Path(exists=True), default=None,
               help="file of x,y lines naming the empty sites on V")

@@ -120,12 +120,9 @@ class ColumnGeometry:
             raise ValueError("N must be >= 1")
         self.N = N
         self.columns: Dict[int, FrozenSet[Site]] = {}
-        self.caps: Dict[int, FrozenSet[Site]] = {}
         for i in range(1, N + 1):
             h = self.height(i)
-            x = i - N
-            self.columns[i] = frozenset((x, j) for j in range(-h + 1, h))
-            self.caps[i] = frozenset({(x, h), (x, -h)})
+            self.columns[i] = frozenset((i - N, j) for j in range(-h + 1, h))
         self.region = Region.column_union(self.columns.values())
         self._tau: Optional[BoundaryCondition] = None
         self._dynamics = None  # the Duarte KCM tables, built by monitor_trajectory

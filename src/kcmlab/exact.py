@@ -1,8 +1,9 @@
 """Exact finite-state computations for small constrained chains.
 
-States are bitmasks over the region's sorted sites, a set bit meaning the
-site is empty.  The generator L is a sparse matrix assembled with numpy bit
-operations, one pass per site.  Detailed balance makes
+A ``GeneratorOperator`` (sites, L, mu, q) is the only description of a
+chain.  States are bitmasks over the region's sorted sites, a set bit meaning
+the site is empty.  The generator L is a sparse matrix assembled with numpy
+bit operations, one pass per site.  Detailed balance makes
 S = D^{1/2} (-L) D^{-1/2}, D = diag(mu), symmetric, and both solvers work on
 sparse S; no dense matrix is built.
 
@@ -11,6 +12,8 @@ sparse S; no dense matrix is built.
   SuperLU factorization of S - sigma I, sigma < 0, in symmetric mode.
 - Mean hitting times solve the symmetrized system on {origin occupied} with
   the same kind of factorization, checked by a relative backward error.
+- One undirected component labelling, ``_components``, serves the gap and
+  the hitting solve, and the proxy bound's Dirichlet form is read off L.
 
 Both costs are those of the sparse factor, whose fill grows faster than the
 state count.  For East chains of 2^13 and 2^14 states, gap plus hitting time
@@ -64,39 +67,6 @@ class UnreachableStatesError(ValueError):
         self.states = states
 
 
-@dataclass(frozen=True)
-class StateSpace:
-    """Full enumeration of {0,1}^region; the state integer doubles as its
-    index.  Bit i corresponds to sorted site i; set bit = empty.  The
-    tracked origin is (0, 0)."""
-
-    region: Region
-    sites: Tuple[Site, ...]
-
-    @classmethod
-    def build(cls, region: Region):
-        n = len(region.sites)
-        if 2 ** n > GENERATOR_CAP:
-            raise StateSpaceError(
-                f"state space 2^{n} exceeds cap {GENERATOR_CAP}"
-            )
-        if (0, 0) not in region.sites:
-            raise ValueError("origin must lie in the region")
-        return cls(region=region, sites=tuple(sorted(region.sites)))
-
-    @property
-    def n(self) -> int:
-        return len(self.sites)
-
-    @property
-    def size(self) -> int:
-        return 1 << self.n
-
-    @property
-    def origin_bit(self) -> int:
-        return 1 << self.sites.index((0, 0))
-
-
 def _site_masks(
     family: UpdateFamily, sites: Sequence[Site], exterior
 ) -> List[List[int]]:
@@ -116,21 +86,21 @@ def _constraint_bit(masks: List[int], state: int) -> bool:
     return False
 
 
-def _constraint_mask(masks: List[int], states: np.ndarray) -> np.ndarray:
-    """Vectorized ``_constraint_bit`` over an array of states."""
-    legal = np.zeros(states.shape, dtype=bool)
-    for m in masks:
-        legal |= (states & m) == m
-    return legal
-
-
 @dataclass
 class GeneratorOperator:
-    space: StateSpace
+    """The chain on {0,1}^sites.  A state integer is its own index into L
+    and mu; bit i is sites[i], a set bit meaning empty."""
+
+    sites: Tuple[Site, ...]
     L: sp.csr_matrix
     mu: np.ndarray
     q: float
-    site_masks: List[List[int]]
+
+    @property
+    def origin_empty(self) -> np.ndarray:
+        """Mask over the states of the target set A = {origin empty}."""
+        bit = 1 << self.sites.index((0, 0))
+        return (np.arange(len(self.mu)) & bit) != 0
 
 
 def build_generator(
@@ -143,9 +113,13 @@ def build_generator(
     1 - q to occupied); diagonal balances each row exactly."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0,1), got {q}")
-    space = StateSpace.build(region)
-    site_masks = _site_masks(family, space.sites, exterior)
-    n, size = space.n, space.size
+    n = len(region.sites)
+    if 2 ** n > GENERATOR_CAP:
+        raise StateSpaceError(f"state space 2^{n} exceeds cap {GENERATOR_CAP}")
+    if (0, 0) not in region.sites:
+        raise ValueError("origin must lie in the region")
+    sites = tuple(sorted(region.sites))
+    size = 1 << n
     p = 1.0 - q
 
     states = np.arange(size, dtype=np.int64)
@@ -153,9 +127,9 @@ def build_generator(
     cols: List[np.ndarray] = []
     vals: List[np.ndarray] = []
     total = np.zeros(size)
-    for i, masks in enumerate(site_masks):
+    for i, masks in enumerate(_site_masks(family, sites, exterior)):
         bit = 1 << i
-        legal = np.flatnonzero(_constraint_mask(masks, states))
+        legal = np.flatnonzero(np.any([(states & m) == m for m in masks], axis=0))
         rate = np.where(legal & bit, p, q)
         rows.append(legal)
         cols.append(legal ^ bit)
@@ -174,13 +148,23 @@ def build_generator(
 
     counts = sum((states >> i) & 1 for i in range(n))
     mu = (p ** (n - counts)) * (q ** counts)
-    return GeneratorOperator(space=space, L=L, mu=mu, q=q, site_masks=site_masks)
+    return GeneratorOperator(sites=sites, L=L, mu=mu, q=q)
+
+
+def _components(L: sp.spmatrix) -> np.ndarray:
+    """Labels of the connected components of the transition graph of L.
+
+    A site's constraint never reads the site itself (``UpdateFamily.create``
+    rejects the origin as a rule site) and 0 < q < 1, so every legal flip
+    can be undone: the pattern of L is symmetric, and its strong components
+    are its undirected components.  The diagonal's self-loops change
+    neither."""
+    return csgraph.connected_components(L, directed=False)[1]
 
 
 def ergodic_component(gen: GeneratorOperator) -> np.ndarray:
-    """States in the strong component of the all-occupied state."""
-    # the diagonal's self-loops do not change strong connectivity
-    _, labels = csgraph.connected_components(gen.L, directed=True, connection="strong")
+    """States in the component of the all-occupied state."""
+    labels = _components(gen.L)
     return np.flatnonzero(labels == labels[0])
 
 
@@ -245,28 +229,18 @@ def spectral_gap(gen: GeneratorOperator) -> Dict[str, float]:
     }
 
 
-def hitting_states(gen: GeneratorOperator) -> np.ndarray:
-    """Indices of the target set A = {origin empty}."""
-    return np.flatnonzero(np.arange(gen.space.size) & gen.space.origin_bit)
-
-
 def mean_hitting(gen: GeneratorOperator) -> Dict[str, object]:
     """Solve (-L restricted to A^c) u = 1; E_mu(tau0) = sum mu(w) u(w).
 
-    The system is solved in its symmetrized, positive definite form; the
-    reported residual is the relative backward error
-    ||M u - 1||_inf / (||M||_inf ||u||_inf + 1) of M = -L on A^c.
+    A state reaches A iff its component meets A.  The system is solved in
+    its symmetrized, positive definite form; the reported residual is the
+    relative backward error ||M u - 1||_inf / (||M||_inf ||u||_inf + 1) of
+    M = -L on A^c.
     """
-    size = gen.space.size
-    a_idx = hitting_states(gen)
-    ac_idx = np.flatnonzero((np.arange(size) & gen.space.origin_bit) == 0)
-
-    # The transition graph is symmetric: a site's constraint never reads the
-    # site itself (UpdateFamily.create rejects the origin) and 0 < q < 1, so
-    # every legal flip can be undone.  A state reaches A iff its connected
-    # component meets A.
-    _, labels = csgraph.connected_components(gen.L, directed=False)
-    stuck = ac_idx[~np.isin(labels[ac_idx], labels[a_idx])]
+    target = gen.origin_empty
+    ac_idx = np.flatnonzero(~target)
+    labels = _components(gen.L)
+    stuck = ac_idx[~np.isin(labels[ac_idx], labels[target])]
     if len(stuck):
         raise UnreachableStatesError(
             f"{len(stuck)} states cannot reach the target", stuck.tolist()
@@ -283,26 +257,21 @@ def mean_hitting(gen: GeneratorOperator) -> Dict[str, object]:
     if residual > 1e-10:
         raise ArithmeticError(f"hitting solve relative residual {residual} > 1e-10")
     e_mu = float(np.dot(gen.mu[ac_idx], u))
-    per_state = np.zeros(size)
+    per_state = np.zeros(len(gen.mu))
     per_state[ac_idx] = u
     return {"e_mu_tau0": e_mu, "per_state": per_state, "residual": residual}
 
 
 def dirichlet_form(gen: GeneratorOperator, f: np.ndarray) -> Dict[str, float]:
-    """D(f) = sum_x mu(c_x Var_x f) plus the variance and Poincare ratio."""
-    size = gen.space.size
-    if f.shape != (size,):
-        raise ValueError("f must be defined on every state")
+    """D(f) = 1/2 sum_{x != y} mu(x) L(x, y) (f(y) - f(x))^2, read off the
+    entries of L (the diagonal's terms vanish), plus the variance and
+    Poincare ratio."""
     mu = gen.mu
-    q = gen.q
-    states = np.arange(size)
-    d_val = 0.0
-    for i, masks in enumerate(gen.site_masks):
-        bit = 1 << i
-        # count each pair once, from the occupied side
-        x = np.flatnonzero(((states & bit) == 0) & _constraint_mask(masks, states))
-        diff = f[x ^ bit] - f[x]
-        d_val += float(np.sum(mu[x] * q * diff * diff))
+    if f.shape != mu.shape:
+        raise ValueError("f must be defined on every state")
+    C = gen.L.tocoo()
+    diff = f[C.col] - f[C.row]
+    d_val = 0.5 * float(np.sum(mu[C.row] * C.data * diff * diff))
     mean = float(np.dot(mu, f))
     var = float(np.dot(mu, f * f) - mean * mean)
     out = {"dirichlet": d_val, "variance": var, "mean": mean}
@@ -329,7 +298,7 @@ def check_proxy_bound(
     Checks E_mu(tau0) >= bound(T) on the grid and at the distinguished
     T* = mu(phi)^2 / (16 D(phi)).
     """
-    if np.any(phi[hitting_states(gen)] != 0):
+    if np.any(phi[gen.origin_empty] != 0):
         raise ValueError("phi must vanish on states with the origin empty")
     norm2 = float(np.dot(gen.mu, phi * phi))
     if norm2 <= 0:
@@ -345,12 +314,9 @@ def check_proxy_bound(
     if t_grid is None:
         t_grid = [t_star * (i + 1) / 10.0 for i in range(20)]
     checks = []
-    ok = True
     for T in t_grid:
         b = proxy_bound_value(m_phi, d_phi, T)
-        holds = e_mu >= b - tol
-        ok = ok and holds
-        checks.append({"T": T, "bound": b, "holds": holds})
+        checks.append({"T": T, "bound": b, "holds": e_mu >= b - tol})
     b_star = proxy_bound_value(m_phi, d_phi, t_star)
     star_holds = e_mu >= b_star - tol
     return {
@@ -361,7 +327,7 @@ def check_proxy_bound(
         "bound_at_t_star": b_star,
         "figure": m_phi ** 4 / d_phi,
         "holds_at_t_star": star_holds,
-        "holds_on_grid": ok,
+        "holds_on_grid": all(c["holds"] for c in checks),
         "grid": checks,
     }
 

@@ -91,10 +91,6 @@ def parse_family(text: str) -> UpdateFamily:
     return UpdateFamily.create(name, parsed)
 
 
-_E1 = (1, 0)
-_E2 = (0, 1)
-
-
 def builtin_family(name: str) -> UpdateFamily:
     """Built-in named families: east1d, east2d, duarte."""
     if name == "east1d":

@@ -44,14 +44,13 @@ class SimParams:
     t_max: float = 1e4
     seed: int = 0
     trial: int = 0
-    origin: Site = (0, 0)
 
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"q must lie in (0,1), got {self.q}")
         if self.t_max <= 0:
             raise ValueError("t_max must be positive")
-        if self.origin not in self.region.sites:
+        if (0, 0) not in self.region.sites:
             raise ValueError("origin must lie in the region")
 
 
@@ -222,7 +221,7 @@ def _hitting(params: SimParams, dyn: Optional[Dynamics], mode: int) -> HittingRe
         dyn = make_dynamics(params)
     rng = derive_rng(params.seed, params.trial)
     state = dyn.sample_state(params.q, rng)
-    origin_idx = dyn.index[params.origin]
+    origin_idx = dyn.index[(0, 0)]
     if mode == MODE_TAU0 and state[origin_idx] == 0:
         return HittingResult(0.0, False, 0, 0)
     status, t, events, legal = _run(dyn, state, params.q, params.t_max, mode, rng, origin_idx)

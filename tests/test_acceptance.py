@@ -314,7 +314,7 @@ def test_08_proxy_bound():
     boundary = frozen_boundary_for(EAST1, region)
     for q in (0.2, 0.3):
         gen = build_generator(EAST1, region, q, exterior=boundary)
-        phi = np.zeros(gen.space.size)
+        phi = np.zeros(len(gen.mu))
         phi[0] = 1.0  # indicator of the configuration with no empties
         out = check_proxy_bound(gen, phi, tol=1e-9)
         assert out["holds_at_t_star"], (q, out)

@@ -219,6 +219,15 @@ class TestDuartePhi:
         assert out["b2"]["hit"] is False
         assert out["b2"]["witness"] is None
 
+    @pytest.mark.parametrize("flag", ["--n1", "--n2"])
+    def test_event_scales_below_one_rejected(self, runner, flag):
+        result = runner.invoke(
+            main, ["duarte-phi", "--n-columns", "3", "--ell", "2", flag, "0"]
+        )
+        assert result.exit_code == 2
+        assert f"Error: Invalid value for '{flag}': 0 is not in the range x>=1." in result.output
+        assert '"b1"' not in result.output
+
     def test_input_outside_region(self, runner, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("99,99\n")
@@ -312,6 +321,17 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"ell": 3}))
         result = invoke(runner, ["--config", str(cfg), "east-barrier", "--ell", "7"])
         assert json.loads(result.output) == {"ell": 7, "barrier": 3}
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"x"', "3", "null"])
+    def test_config_that_is_not_an_object_is_clean_error(self, runner, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        result = runner.invoke(main, ["--config", str(cfg), "east-barrier", "--ell", "3"])
+        assert result.exit_code == 1
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("Error: ")
+        assert "config must be a JSON object" in lines[0]
 
     def test_version(self, runner):
         result = invoke(runner, ["--version"])

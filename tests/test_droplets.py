@@ -37,6 +37,12 @@ def profile_of(geometry, empties, ell, **kw):
     return run_droplet_algorithm(omega, geometry, ell, **kw)
 
 
+def column_caps(geometry, i):
+    """The two cap sites of column i, just above and below it."""
+    x, h = geometry.column_x(i), geometry.height(i)
+    return {(x, h), (x, -h)}
+
+
 def encode(geometry, empties, tau):
     """(empties, tau) as the pass's column masks, written out site by site:
     bit y + h_c of entry c - 1 is set when (x_c, y) is empty, or is a cap
@@ -106,7 +112,9 @@ class TestGeometry:
             assert g.column_x(N) == 0
             assert (0, 0) in g.columns[N]
             h = g.height(N)
-            assert g.caps[N] == {(0, h), (0, -h)}
+            # the caps (0, +-h) lie just outside the column's ends
+            assert {(0, h - 1), (0, 1 - h)} <= g.columns[N]
+            assert not column_caps(g, N) & g.region.sites
 
     def test_columns_strictly_shrink(self):
         g = ColumnGeometry(5)
@@ -124,7 +132,7 @@ class TestGeometry:
         g = ColumnGeometry(3)
         tau = g.initial_tau()
         for i in range(1, 4):
-            for c in g.caps[i]:
+            for c in column_caps(g, i):
                 assert tau.assignment[c] == 0
         x1 = g.column_x(1)
         assert tau.assignment[(x1 - 1, 0)] == 1
@@ -294,7 +302,7 @@ class TestColumnSweep:
         g = ColumnGeometry(6)
         x2, h2 = g.column_x(2), g.height(2)
         tau = dict(g.initial_tau().assignment)
-        tau.update({c: 1 for c in g.caps[2]})
+        tau.update({c: 1 for c in column_caps(g, 2)})
         empties = frozenset(g.columns[1] | {(x2, end * (h2 - 1))})
         sites, _ = self.sweep(g, 1, 2, empties, tau)
         assert g.columns[2] <= sites
@@ -325,7 +333,7 @@ class TestColumnSweep:
                 xi = max(cuts)
                 for i in range(xi, k + 1):
                     empties = empties - g.columns[i]
-                    tau.update({c: 1 for c in g.caps[i]})
+                    tau.update({c: 1 for c in column_caps(g, i)})
                 drops[k] = DropletRecord(k=k, xi=xi, range=k - xi)
             phi.append(UP if cuts else DOWN)
             history.append(tuple(encode(g, empties, tau)))
@@ -355,7 +363,7 @@ class TestCutTest:
         tau = dict(tau)
         for i in range(1, xi):
             empties = empties - g.columns[i]
-            tau.update({c: 1 for c in g.caps[i]})
+            tau.update({c: 1 for c in column_caps(g, i)})
         window = g.window(1, k)
         bc = BoundaryCondition(window, {s: tau.get(s, 1) for s in outer_boundary(window)})
         closed = closure_region(DUARTE, window, bc, empties & window.sites).closed
@@ -374,7 +382,7 @@ class TestCutTest:
         # neither copied nor healed
         g = ColumnGeometry(N)
         sites = sorted(g.region.sites)
-        caps = sorted(set().union(*g.caps.values()))
+        caps = sorted(set().union(*(column_caps(g, i) for i in range(1, N + 1))))
         tau0 = g.initial_tau().assignment
         fired = 0
         for _ in range(150):

@@ -5,11 +5,14 @@ from collections import deque
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from kcmlab.exact import (
     ReducibleChainError,
     StateSpaceError,
     UnreachableStatesError,
+    _constraint_bit,
+    _site_masks,
     an_reachability,
     build_generator,
     check_proxy_bound,
@@ -53,16 +56,17 @@ def duarte_box_generator(w, h, q):
     return build_generator(DUARTE, region, q, exterior=frozen_boundary_for(DUARTE, region))
 
 
-def double_loop_generator(gen):
+def double_loop_generator(gen, family, exterior):
     """(L, mu) assembled state by state and site by site from the compiled
     rule masks, accumulating each diagonal entry over the sites in order."""
-    n, size, q = gen.space.n, gen.space.size, gen.q
+    site_masks = _site_masks(family, gen.sites, exterior)
+    n, size, q = len(gen.sites), len(gen.mu), gen.q
     p = 1.0 - q
     rows, cols, vals = [], [], []
     for state in range(size):
         total = 0.0
         for i in range(n):
-            if not any(state & m == m for m in gen.site_masks[i]):
+            if not any(state & m == m for m in site_masks[i]):
                 continue
             bit = 1 << i
             rate = p if state & bit else q
@@ -99,9 +103,14 @@ class TestGeneratorStructure:
         "family, w, h", [("east", n, 1) for n in range(1, 11)] + [("duarte", 3, 3), ("duarte", 3, 4)]
     )
     def test_bit_identical_to_double_loop(self, family, w, h):
+        if family == "east":
+            fam, region = EAST1, east_chain_region(w)
+        else:
+            fam, region = DUARTE, Region.rectangle(-w + 1, 0, -h + 1, 0)
+        exterior = frozen_boundary_for(fam, region)
         for q in (0.3, 0.03):
-            gen = east_chain_generator(w, q) if family == "east" else duarte_box_generator(w, h, q)
-            L, mu = double_loop_generator(gen)
+            gen = build_generator(fam, region, q, exterior=exterior)
+            L, mu = double_loop_generator(gen, fam, exterior)
             for name in ("data", "indices", "indptr"):
                 got, want = getattr(gen.L, name), getattr(L, name)
                 assert got.dtype == want.dtype
@@ -175,6 +184,74 @@ class TestSpectralGap:
             spectral_gap(gen)
 
 
+def exteriors(family, region):
+    return (ALL_HEALTHY, frozen_boundary_for(family, region), ALL_INFECTED)
+
+
+# windows with the origin at a corner, and scattered sites that the rules
+# split into several components
+SMALL_REGIONS = (
+    Region.corner(4, 1),
+    Region.corner(3, 2),
+    Region.corner(3, 3),
+    Region([(0, 0), (-1, 0), (-3, 0), (0, -2), (-2, -1)]),
+)
+
+
+def cannot_reach_target(gen):
+    """States with no directed path of L's transitions into {origin empty},
+    by a backward breadth-first search from the target."""
+    back = gen.L.T.tocsr()
+    seen = set(np.flatnonzero(gen.origin_empty).tolist())
+    queue = deque(seen)
+    while queue:
+        y = queue.popleft()
+        for x in back.indices[back.indptr[y]:back.indptr[y + 1]].tolist():
+            if x not in seen:
+                seen.add(x)
+                queue.append(x)
+    return [x for x in range(len(gen.mu)) if x not in seen]
+
+
+class TestComponents:
+    """The undirected labelling against directed searches of the graph of L."""
+
+    @pytest.mark.parametrize("family", [EAST1, EAST2, DUARTE], ids=lambda f: f.name)
+    def test_undirected_labelling_matches_directed_searches(self, family):
+        split = stuck_cases = 0
+        for region in SMALL_REGIONS:
+            for exterior in exteriors(family, region):
+                gen = build_generator(family, region, 0.3, exterior=exterior)
+                off = (gen.L - sp.diags(gen.L.diagonal())).tocsr()
+                off.eliminate_zeros()
+                pattern = (off != 0).astype(np.int8)
+                assert (pattern != pattern.T).nnz == 0
+
+                _, strong = csgraph.connected_components(
+                    gen.L, directed=True, connection="strong"
+                )
+                comp = ergodic_component(gen)
+                assert np.array_equal(comp, np.flatnonzero(strong == strong[0]))
+                split += len(comp) < len(gen.mu)
+
+                stuck = cannot_reach_target(gen)
+                if stuck:
+                    stuck_cases += 1
+                    with pytest.raises(UnreachableStatesError) as err:
+                        mean_hitting(gen)
+                    assert err.value.states == stuck
+                else:
+                    assert mean_hitting(gen)["e_mu_tau0"] > 0
+        assert split > 0 and stuck_cases > 0
+
+    def test_origin_empty_is_the_origin_bit(self):
+        region = Region.corner(3, 2)
+        gen = build_generator(DUARTE, region, 0.3)
+        bit = gen.sites.index((0, 0))
+        assert gen.sites == tuple(sorted(region.sites))
+        assert gen.origin_empty.tolist() == [bool(s >> bit & 1) for s in range(len(gen.mu))]
+
+
 class TestMeanHitting:
     def test_single_site_closed_form(self):
         for q in (0.1, 0.4, 0.7):
@@ -230,7 +307,7 @@ class TestMeanHitting:
     def test_residual_is_relative_backward_error(self):
         gen = east_chain_generator(12, 0.05)
         out = mean_hitting(gen)
-        ac = np.flatnonzero((np.arange(gen.space.size) & gen.space.origin_bit) == 0)
+        ac = np.flatnonzero(~gen.origin_empty)
         M = -gen.L[ac][:, ac]
         u = out["per_state"][ac]
         m_norm = np.max(abs(M).sum(axis=1))
@@ -271,6 +348,27 @@ class TestDirichletForm:
             if out["dirichlet"] > 0:
                 assert out["variance"] <= t_rel * out["dirichlet"] * (1 + 1e-9)
 
+    def test_matches_per_site_reference(self, rng):
+        # sum over sites x and occupied states with c_x = 1 of
+        # mu q (f(state^x) - f(state))^2, each flip counted once
+        positive = 0
+        for family in (EAST1, EAST2, DUARTE):
+            for region in SMALL_REGIONS[:2]:
+                for exterior in exteriors(family, region):
+                    gen = build_generator(family, region, 0.3, exterior=exterior)
+                    masks = _site_masks(family, gen.sites, exterior)
+                    f = rng.normal(size=len(gen.mu))
+                    want = 0.0
+                    for i, site_masks in enumerate(masks):
+                        bit = 1 << i
+                        for x in range(len(gen.mu)):
+                            if not x & bit and _constraint_bit(site_masks, x):
+                                want += gen.mu[x] * gen.q * (f[x ^ bit] - f[x]) ** 2
+                    got = dirichlet_form(gen, f)["dirichlet"]
+                    assert abs(got - want) <= 1e-12 * want
+                    positive += want > 0
+        assert positive >= 10
+
     def test_shape_validation(self):
         gen = east_chain_generator(2, 0.3)
         with pytest.raises(ValueError):
@@ -280,9 +378,7 @@ class TestDirichletForm:
 class TestProxyBound:
     def test_occupied_indicator_bound_holds(self):
         gen = east_chain_generator(3, 0.25)
-        size = gen.space.size
-        ob = gen.space.origin_bit
-        phi = np.array([0.0 if s & ob else 1.0 for s in range(size)])
+        phi = np.where(gen.origin_empty, 0.0, 1.0)
         out = check_proxy_bound(gen, phi)
         assert out["holds_at_t_star"]
         assert out["holds_on_grid"]
@@ -292,9 +388,7 @@ class TestProxyBound:
 
     def test_bound_is_informative_for_small_q(self):
         gen = east_chain_generator(4, 0.15)
-        size = gen.space.size
-        ob = gen.space.origin_bit
-        phi = np.array([0.0 if s & ob else 1.0 for s in range(size)])
+        phi = np.where(gen.origin_empty, 0.0, 1.0)
         out = check_proxy_bound(gen, phi)
         assert out["bound_at_t_star"] > 0
 

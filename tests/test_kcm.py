@@ -290,8 +290,8 @@ class TestValidation:
             SimParams(EAST1, 0.0, region)
         with pytest.raises(ValueError):
             SimParams(EAST1, 0.5, region, t_max=0.0)
-        with pytest.raises(ValueError):
-            SimParams(EAST1, 0.5, region, origin=(9, 9))
+        with pytest.raises(ValueError, match="origin must lie in the region"):
+            SimParams(EAST1, 0.5, Region([(1, 0), (2, 0)]))
 
 
 @pytest.mark.parametrize(
