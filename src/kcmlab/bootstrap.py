@@ -1,4 +1,4 @@
-"""The monotone bootstrap process: closures, infectability, path search.
+"""The monotone bootstrap process: closures, path search, bootstrap times.
 
 Two engines compute the same closure: a synchronous stepper (the defining
 iteration, kept as the oracle) and a generation-layered work queue that only
@@ -19,7 +19,7 @@ from typing import Container, FrozenSet, Iterable, List, Optional, Sequence, Tup
 import numpy as np
 
 from .families import UpdateFamily
-from .geometry import BoundaryCondition, Configuration, Region, Site, derive_rng
+from .geometry import BoundaryCondition, Region, Site, derive_rng
 
 
 @dataclass(frozen=True)
@@ -142,30 +142,6 @@ def closure_free(
         (sx - dx, sy - dy) not in box for (sx, sy) in infected for (dx, dy) in offsets
     )
     return ClosureResult(frozenset(infected), rounds, touched)
-
-
-def is_infectable(
-    family: UpdateFamily,
-    target: Iterable[Site],
-    config: Configuration,
-    tau: BoundaryCondition,
-) -> bool:
-    """Whether every target site ends up infected under the finite-volume
-    closure of the configuration's empty set.  Boundary sites of the target
-    count as infected iff the boundary condition assigns them 0."""
-    target = frozenset(target)
-    region = config.region
-    allowed = region.sites | set(tau.assignment)
-    if not target <= allowed:
-        raise ValueError("target not contained in region plus boundary")
-    inside = target & region.sites
-    border = target - region.sites
-    if any(s not in tau.zeros for s in border):
-        return False
-    if not inside:
-        return True
-    result = closure_region(family, region, tau, config.empty)
-    return inside <= result.closed
 
 
 _DUARTE_STEPS: Tuple[Site, ...] = ((1, 0), (0, 1), (0, -1))

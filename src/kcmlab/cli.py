@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import click
 
@@ -56,14 +56,20 @@ def main(ctx, config_path):
             ctx.default_map = {cmd: data for cmd in main.commands}
 
 
-def _parse_sites(text: str) -> List[Site]:
+def _parse_sites(text: str, path: Optional[str] = None) -> List[Site]:
+    """``x,y`` entries split by ``;`` or newlines; a bad one is named, with
+    its line when the text came from ``path``."""
     sites = []
-    for chunk in text.replace(";", "\n").splitlines():
-        chunk = chunk.strip()
-        if not chunk or chunk.startswith("#"):
-            continue
-        x, y = chunk.split(",")
-        sites.append((int(x), int(y)))
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for chunk in map(str.strip, line.split(";")):
+            if not chunk or chunk.startswith("#"):
+                continue
+            try:
+                x, y = chunk.split(",")
+                sites.append((int(x), int(y)))
+            except ValueError:
+                where = f"{path} line {lineno}" if path else "--sites"
+                raise click.ClickException(f"{where}: expected 'x,y' integers, got {chunk!r}") from None
     return sites
 
 
@@ -103,7 +109,7 @@ def bootstrap_close(family, input_path, sites, cap):
     fam = load_family(family)
     if input_path:
         with open(input_path) as fh:
-            seed = _parse_sites(fh.read())
+            seed = _parse_sites(fh.read(), input_path)
     elif sites:
         seed = _parse_sites(sites)
     else:
@@ -206,7 +212,7 @@ def duarte_phi(q, n_columns, ell, n1, n2, seed, input_path):
     geometry = ColumnGeometry(n_columns)
     if input_path:
         with open(input_path) as fh:
-            empties = frozenset(_parse_sites(fh.read()))
+            empties = frozenset(_parse_sites(fh.read(), input_path))
         bad = empties - geometry.region.sites
         if bad:
             raise click.ClickException(f"{len(bad)} input sites outside V")

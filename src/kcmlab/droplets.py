@@ -140,8 +140,8 @@ class ColumnGeometry:
         return Region.column_union(self.columns[k] for k in range(i, j + 1))
 
     def initial_tau(self) -> BoundaryCondition:
-        """tau_par == 1 (healthy left wall), tau_perp == 0 (empty caps),
-        built once; callers copy the assignment before changing it."""
+        """The split boundary of V: healthy on the parallel view (the west
+        wall), empty on the perpendicular view (the caps); built once."""
         if self._tau is None:
             self._tau = BoundaryCondition.split(self.region, par_value=1, perp_value=0)
         return self._tau
@@ -174,7 +174,7 @@ _DUARTE = builtin_family("duarte")
 def _column_masks(geometry: ColumnGeometry, empties: FrozenSet[Site]) -> List[int]:
     """Column c's empties as one int at index c - 1: bit y + h_c stands for
     the site (x_c, y), so bits 0 and 2h_c are its caps, set because the caps
-    start empty (tau_perp = 0)."""
+    start empty."""
     N = geometry.N
     masks = [1 | 1 << 2 * geometry.height(c) for c in range(1, N + 1)]
     for x, y in empties:
@@ -237,7 +237,6 @@ def run_droplet_algorithm(
     omega: Configuration,
     geometry: ColumnGeometry,
     ell: int,
-    self_check: bool = True,
 ) -> ArrowProfile:
     """One deterministic left-to-right pass producing the arrow profile.
 
@@ -245,8 +244,10 @@ def run_droplet_algorithm(
     column k heals capped columns xi_k..k by setting their masks to 0.
     xi_k is the largest cut xi for which the closure of the current state
     on V_{xi,k}, with a healthy west wall, keeps the long-interval property
-    in column k.  The cut test is monotone, so binary search applies
-    (cross-checked against the linear scan when self_check is set).  The
+    in column k.  The cut test is non-increasing in xi, so a binary search
+    finds xi_k exactly: for xi < xi', V_{xi',k} lies in V_{xi,k}, whose
+    sites west of column xi' may be infected where V_{xi',k} has a healthy
+    wall, and a closure only grows when more sites may be infected.  The
     profile's history holds the masks before the first column and after
     each column.
     """
@@ -272,11 +273,6 @@ def run_droplet_algorithm(
                 else:
                     hi = mid - 1
             xi_k = lo
-            if self_check:
-                linear = max(x for x in range(1, k + 1) if holds(x))
-                if linear != xi_k:
-                    xi_k = linear  # monotonicity violated; trust the scan
-                    warnings.warn("xi search monotonicity violation; used linear scan")
             masks[xi_k - 1 : k] = [0] * (k - xi_k + 1)
             droplets[k] = DropletRecord(k=k, xi=xi_k, range=k - xi_k)
             phi.append(UP)
@@ -466,7 +462,7 @@ def monitor_trajectory(
     def observer(t: float, state: np.ndarray) -> None:
         empty = frozenset(dyn.sites[i] for i in np.flatnonzero(state == 0).tolist())
         omega = Configuration(region, empty, exterior)
-        profile = run_droplet_algorithm(omega, geometry, scales.ell, self_check=False)
+        profile = run_droplet_algorithm(omega, geometry, scales.ell)
         report.max_n_up = max(report.max_n_up, profile.n_up)
         ranges = [r.range for r in profile.droplets.values()]
         if ranges:
@@ -493,7 +489,7 @@ def estimate_uparrow_density(
     hits = 0
     for trial in range(trials):
         omega = sample_bernoulli(geometry.region, scales.q, derive_rng(seed, trial))
-        profile = run_droplet_algorithm(omega, geometry, scales.ell, self_check=False)
+        profile = run_droplet_algorithm(omega, geometry, scales.ell)
         if profile.n_up > 0:
             hits += 1
     p_hat = hits / trials

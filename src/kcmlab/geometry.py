@@ -9,7 +9,6 @@ site outside the window.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
 
@@ -143,20 +142,6 @@ class BoundaryCondition:
         assignment.update({s: perp_value for s in perp})
         return cls(region, assignment)
 
-    def tau_par(self) -> Dict[Site, int]:
-        par, _ = boundaries(self.region)
-        return {s: self.assignment[s] for s in par}
-
-    def tau_perp(self) -> Dict[Site, int]:
-        _, perp = boundaries(self.region)
-        return {s: self.assignment[s] for s in perp}
-
-    def __le__(self, other: "BoundaryCondition") -> bool:
-        """Pointwise comparison on a common boundary."""
-        if set(self.assignment) != set(other.assignment):
-            raise ValueError("boundary conditions live on different boundaries")
-        return all(v <= other.assignment[s] for s, v in self.assignment.items())
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BoundaryCondition)
@@ -222,41 +207,12 @@ class Configuration:
             return 0 if site in self.empty else 1
         return self.exterior.value_at(site)
 
-    def zero_set(self) -> FrozenSet[Site]:
-        """The set of empty sites within the region (the paper's Y)."""
-        return self.empty
-
-    def flip(self, site: Site) -> "Configuration":
-        if site not in self.region.sites:
-            raise ValueError(f"site {site} not in region")
-        if site in self.empty:
-            return Configuration(self.region, self.empty - {site}, self.exterior)
-        return Configuration(self.region, self.empty | {site}, self.exterior)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "region": sorted(self.region.sites),
-                "empty": sorted(self.empty),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str, exterior=ALL_HEALTHY) -> "Configuration":
-        data = json.loads(text)
-        region = Region(tuple(s) for s in data["region"])
-        empty = frozenset(tuple(s) for s in data["empty"])
-        return cls(region, empty, exterior)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Configuration)
             and self.region == other.region
             and self.empty == other.empty
         )
-
-    def __hash__(self):
-        return hash((self.region, self.empty))
 
 
 def derive_rng(seed: int, *stream: int) -> np.random.Generator:

@@ -85,13 +85,6 @@ class Dynamics:
             (j for rule in rules for j in rule), dtype=np.int64, count=int(self.rule_ptr[-1])
         )
 
-    def constraint(self, state: np.ndarray, i: int) -> bool:
-        for r in range(self.site_ptr[i], self.site_ptr[i + 1]):
-            lo, hi = self.rule_ptr[r], self.rule_ptr[r + 1]
-            if not state[self.neighbors[lo:hi]].any():
-                return True
-        return False
-
     def sample_state(self, q: float, rng: np.random.Generator) -> np.ndarray:
         """Stationary product start: occupied with probability 1 - q."""
         return (rng.random(self.n) >= q).astype(np.int8)
@@ -340,8 +333,8 @@ def east_chain_region(length: int) -> Region:
 
 
 def frozen_boundary_for(family: UpdateFamily, region: Region) -> BoundaryExterior:
-    """Ergodicity-restoring frozen boundary: an empty frame on every outer
-    boundary site, for every family.
+    """Ergodicity-restoring frozen boundary: an empty frame on the outer
+    boundary (its parallel and perpendicular views), healthy beyond it.
 
     Without a frozen empty the all-occupied state is an absorbing trap on a
     finite box.  ``compile_rules`` reads the exterior only at sites that a
@@ -350,6 +343,9 @@ def frozen_boundary_for(family: UpdateFamily, region: Region) -> BoundaryExterio
     the one-sided East walls (empty to the west and, for east2d, to the
     south; occupied elsewhere), and the occupied walls are never read.  So
     the frame compiles to the same East tables as those walls, whatever the
-    region, and no family needs a layout of its own.
+    region.  The Duarte rules read only the frame too.  A rule that reads an
+    east or diagonal neighbour may reach beyond the frame, where all is
+    healthy, so the frame does not cover every family: on a one-row box, a
+    family whose only rule is the east neighbour never flips the east end.
     """
     return BoundaryExterior(BoundaryCondition.uniform(region, 0))

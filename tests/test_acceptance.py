@@ -214,7 +214,7 @@ def test_06_droplet_lemmas_toy_scale(rng):
     sites = sorted(g.region.sites)
     for _ in range(200):
         empties = {s for s in sites if rng.random() < 0.25}
-        p = profile_of(g, empties, 3, self_check=False)
+        p = profile_of(g, empties, 3)
         assert check_droplet_disjointness(p)
         assert check_restriction_identity(p)
 
@@ -224,12 +224,12 @@ def test_06_droplet_lemmas_toy_scale(rng):
     checked_a = 0
     while checked_a < 500:
         empties = {s for s in sites if rng.random() < 0.3}
-        base = profile_of(g, empties, 2, self_check=False)
+        base = profile_of(g, empties, 2)
         for x in sites:
             if not one_step_unconstrained(g, empties, tau, x):
                 continue
             checked_a += 1
-            new = profile_of(g, set(empties) ^ {x}, 2, self_check=False)
+            new = profile_of(g, set(empties) ^ {x}, 2)
             if new.phi != base.phi:
                 j = col_of[x]
                 assert j > 1 and base.phi[j - 2] == UP, (empties, x)
@@ -242,14 +242,14 @@ def test_06_droplet_lemmas_toy_scale(rng):
         gb = ColumnGeometry(6)
         x2, x3, x4 = gb.column_x(2), gb.column_x(3), gb.column_x(4)
         empties = frozenset({(x3, y0 + 1), (x4, y0)})
-        base = profile_of(gb, empties, 2, self_check=False)
+        base = profile_of(gb, empties, 2)
         if base.phi[3] != UP:
             continue
         rec = base.droplets[4]
         x = (x2, y0)
         if gb.column_x(rec.xi) <= x[0] <= gb.column_x(rec.k):
             continue
-        new = profile_of(gb, set(empties) | {x}, 2, self_check=False)
+        new = profile_of(gb, set(empties) | {x}, 2)
         if new.phi[3] != DOWN:
             continue
         qualifying_b += 1
@@ -270,7 +270,7 @@ def test_06_droplet_lemmas_toy_scale(rng):
             (g.column_x(c + 2), y),
         }
         empties = frozenset(plant | {s for s in sites if rng.random() < 0.02})
-        p = profile_of(g, empties, 3, self_check=False)
+        p = profile_of(g, empties, 3)
         ranges = [r.range for r in p.droplets.values()]
         if not ranges or max(ranges) < 2:
             continue

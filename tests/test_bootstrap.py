@@ -10,16 +10,11 @@ from kcmlab.bootstrap import (
     closure_region,
     duarte_path_exists,
     grid_step,
-    is_infectable,
     median_bootstrap_time,
     synchronous_step,
 )
 from kcmlab.families import UpdateFamily, builtin_family
-from kcmlab.geometry import (
-    BoundaryCondition,
-    Configuration,
-    Region,
-)
+from kcmlab.geometry import BoundaryCondition, Region
 
 from conftest import random_family, random_region, random_seed_set, random_tau
 
@@ -150,44 +145,6 @@ class TestClosureFree:
     def test_cap_smaller_than_seed_rejected(self):
         with pytest.raises(ValueError, match="cap"):
             closure_free(DUARTE, {(9, 0)}, cap=3)
-
-
-class TestIsInfectable:
-    def test_already_empty(self):
-        region = Region.rectangle(0, 2, 0, 2)
-        tau = BoundaryCondition.uniform(region, 1)
-        config = Configuration(region, {(1, 1)})
-        assert is_infectable(DUARTE, [(1, 1)], config, tau)
-
-    def test_all_occupied_healthy_boundary(self):
-        region = Region.rectangle(0, 2, 0, 2)
-        tau = BoundaryCondition.uniform(region, 1)
-        config = Configuration(region, frozenset())
-        assert not is_infectable(DUARTE, [(1, 1)], config, tau)
-
-    def test_boundary_sites_follow_tau(self):
-        region = Region([(0, 0)])
-        zero = BoundaryCondition.uniform(region, 0)
-        one = BoundaryCondition.uniform(region, 1)
-        config0 = Configuration(region, frozenset())
-        assert is_infectable(DUARTE, [(0, 1)], config0, zero)
-        assert not is_infectable(DUARTE, [(0, 1)], config0, one)
-
-    def test_full_column_plus_site_infects_interval(self):
-        # column x=0 fully empty and one empty in column 1: the whole column 1 fills
-        region = Region.rectangle(0, 1, 0, 8)
-        tau = BoundaryCondition.uniform(region, 1)
-        empty = {(0, j) for j in range(9)} | {(1, 4)}
-        config = Configuration(region, empty)
-        target = [(1, j) for j in range(9)]
-        assert is_infectable(DUARTE, target, config, tau)
-
-    def test_target_outside_raises(self):
-        region = Region([(0, 0)])
-        tau = BoundaryCondition.uniform(region, 1)
-        config = Configuration(region, frozenset())
-        with pytest.raises(ValueError, match="not contained"):
-            is_infectable(DUARTE, [(9, 9)], config, tau)
 
 
 class TestDuartePath:

@@ -70,6 +70,14 @@ class TestBootstrapClose:
         result = runner.invoke(main, ["bootstrap-close", "--family", "east1d"])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("sites, entry", [
+        ("1", "'1'"), ("1,a", "'1,a'"), ("0,0;1,2,3", "'1,2,3'"), ("0,0; 4 ;1,5", "'4'"),
+    ])
+    def test_bad_site_is_named(self, runner, sites, entry):
+        result = runner.invoke(main, ["bootstrap-close", "--family", "duarte", "--sites", sites])
+        assert result.exit_code == 1
+        assert result.output == f"Error: --sites: expected 'x,y' integers, got {entry}\n"
+
 
 class TestBootstrapTime:
     def test_json_shape(self, runner):
@@ -235,6 +243,15 @@ class TestDuartePhi:
             main, ["duarte-phi", "--n-columns", "3", "--ell", "2", "--input", str(p)]
         )
         assert result.exit_code != 0
+
+    def test_malformed_input_line_is_named(self, runner, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_text("# a comment\n-2,1\n\n-1,0;-1,x\n")
+        result = runner.invoke(
+            main, ["duarte-phi", "--n-columns", "3", "--ell", "2", "--input", str(p)]
+        )
+        assert result.exit_code == 1
+        assert result.output == f"Error: {p} line 4: expected 'x,y' integers, got '-1,x'\n"
 
 
 class TestSweepAndFit:

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -32,9 +31,9 @@ from kcmlab.kcm import SimParams, make_dynamics, observe_trajectory
 DUARTE = builtin_family("duarte")
 
 
-def profile_of(geometry, empties, ell, **kw):
+def profile_of(geometry, empties, ell):
     omega = Configuration(geometry.region, frozenset(empties))
-    return run_droplet_algorithm(omega, geometry, ell, **kw)
+    return run_droplet_algorithm(omega, geometry, ell)
 
 
 def column_caps(geometry, i):
@@ -202,20 +201,34 @@ class TestDropletAlgorithm:
             run_droplet_algorithm(omega, g3, 2)
 
     def test_binary_search_matches_linear_scan(self, rng):
-        g = ColumnGeometry(4)
-        sites = sorted(g.region.sites)
-        for _ in range(40):
-            empties = {s for s in sites if rng.random() < 0.25}
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                profile_of(g, empties, 2, self_check=True)
+        # each up column's cut is the largest xi that passes the cut test on
+        # the masks the pass saw, found here by scanning every xi; a down
+        # column passes for no xi
+        geometries = {}
+        cut = 0
+        for _ in range(300):
+            N = int(rng.integers(1, 9))
+            g = geometries.setdefault(N, ColumnGeometry(N))
+            q = float(rng.uniform(0.05, 0.5))
+            ell = int(rng.integers(1, 9))
+            p = profile_of(g, {s for s in sorted(g.region.sites) if rng.random() < q}, ell)
+            for k in range(1, N + 1):
+                masks = p.history[k - 1]
+                passing = [xi for xi in range(1, k + 1)
+                           if _column_has_long_interval(g, xi, k, masks, ell)]
+                if k in p.droplets:
+                    assert p.droplets[k].xi == max(passing)
+                    cut += p.droplets[k].xi < k
+                else:
+                    assert not passing
+        assert cut >= 20
 
     def test_droplets_disjoint_random(self, rng):
         g = ColumnGeometry(5)
         sites = sorted(g.region.sites)
         for _ in range(40):
             empties = {s for s in sites if rng.random() < 0.3}
-            p = profile_of(g, empties, 2, self_check=False)
+            p = profile_of(g, empties, 2)
             assert check_droplet_disjointness(p)
             for r in p.droplets.values():
                 assert 1 <= r.xi <= r.k
@@ -228,7 +241,7 @@ class TestDropletAlgorithm:
         sites = sorted(g.region.sites)
         for _ in range(30):
             empties = {s for s in sites if rng.random() < 0.3}
-            p = profile_of(g, empties, 2, self_check=False)
+            p = profile_of(g, empties, 2)
             assert len(p.history) == g.N + 1
             assert check_restriction_identity(p)
             # a column outside every droplet that changes breaks the identity
@@ -250,8 +263,8 @@ class TestDropletAlgorithm:
             k = int(rng.integers(1, 6))
             tail = set().union(*(g.columns[i] for i in range(k + 1, 6))) if k < 5 else set()
             scrambled = (empties - tail) | {s for s in tail if rng.random() < 0.5}
-            a = profile_of(g, empties, 2, self_check=False)
-            b = profile_of(g, scrambled, 2, self_check=False)
+            a = profile_of(g, empties, 2)
+            b = profile_of(g, scrambled, 2)
             assert a.phi[:k] == b.phi[:k]
 
 
@@ -414,13 +427,13 @@ class TestEastMotionOfArrows:
         while checked < 500:
             seed += 1
             empties = {s for s in sites if rng.random() < 0.3}
-            base = profile_of(g, empties, 2, self_check=False)
+            base = profile_of(g, empties, 2)
             for x in sites:
                 if not one_step_unconstrained(g, empties, tau, x):
                     continue
                 checked += 1
                 flipped = set(empties) ^ {x}
-                new = profile_of(g, flipped, 2, self_check=False)
+                new = profile_of(g, flipped, 2)
                 if new.phi != base.phi:
                     j = col_of[x]
                     assert j > 1, (empties, x)
@@ -437,13 +450,13 @@ class TestEastMotionOfArrows:
             g = ColumnGeometry(6)
             x2, x3, x4 = g.column_x(2), g.column_x(3), g.column_x(4)
             empties = frozenset({(x3, y0 + 1), (x4, y0)})
-            base = profile_of(g, empties, 2, self_check=False)
+            base = profile_of(g, empties, 2)
             assert base.phi[3] == UP
             rec = base.droplets[4]
             assert rec.xi == 3
             x = (x2, y0)
             assert not g.column_x(rec.xi) <= x[0] <= g.column_x(rec.k)
-            new = profile_of(g, set(empties) | {x}, 2, self_check=False)
+            new = profile_of(g, set(empties) | {x}, 2)
             if new.phi[3] != DOWN:
                 continue
             qualifying += 1
@@ -465,7 +478,7 @@ class TestEastMotionOfArrows:
                 col_of[s] = i
         for _ in range(60):
             empties = frozenset(s for s in sites if rng.random() < 0.25)
-            base = profile_of(g, empties, 2, self_check=False)
+            base = profile_of(g, empties, 2)
             ups = [k for k in base.droplets]
             if not ups:
                 continue
@@ -477,7 +490,7 @@ class TestEastMotionOfArrows:
                     if i <= j or g.column_x(rec.xi) <= x[0] <= g.column_x(rec.k):
                         continue
                     if new is None:
-                        new = profile_of(g, set(empties) ^ {x}, 2, self_check=False)
+                        new = profile_of(g, set(empties) ^ {x}, 2)
                     if new.phi[i - 1] != DOWN:
                         continue
                     assert any(
@@ -551,7 +564,7 @@ class TestCrossingEvents:
             }
             noise = {s for s in sites if rng.random() < 0.02}
             empties = frozenset(plant | noise)
-            p = profile_of(g, empties, 3, self_check=False)
+            p = profile_of(g, empties, 3)
             ranges = [r.range for r in p.droplets.values()]
             if not ranges or max(ranges) < 2:
                 continue

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from kcmlab.geometry import (
@@ -89,15 +87,8 @@ class TestBoundaryCondition:
         region = Region.rectangle(0, 2, 0, 2)
         zero = BoundaryCondition.uniform(region, 0)
         one = BoundaryCondition.uniform(region, 1)
-        assert zero <= one
-        assert not one <= zero
         assert zero.zeros == outer_boundary(region)
-
-    def test_tau_views(self):
-        region = Region.rectangle(0, 1, 0, 0)
-        bc = BoundaryCondition.split(region, par_value=1, perp_value=0)
-        assert set(bc.tau_par()) == boundaries(region)[0]
-        assert set(bc.tau_perp()) == boundaries(region)[1]
+        assert one.zeros < zero.zeros
 
 
 class TestConfiguration:
@@ -120,25 +111,6 @@ class TestConfiguration:
     def test_empty_set_must_be_inside(self):
         with pytest.raises(ValueError):
             Configuration(Region([(0, 0)]), {(1, 1)})
-
-    def test_serialization_round_trip_bit_exact(self, rng):
-        for _ in range(25):
-            region = random_region(rng)
-            empty = frozenset(s for s in region.sites if rng.random() < 0.4)
-            config = Configuration(region, empty)
-            again = Configuration.from_json(config.to_json())
-            assert again == config
-            assert again.zero_set() == empty
-            assert json.loads(config.to_json()) == json.loads(again.to_json())
-
-    def test_flip(self):
-        region = Region.rectangle(0, 1, 0, 0)
-        config = Configuration(region, frozenset())
-        flipped = config.flip((0, 0))
-        assert flipped.value_at((0, 0)) == 0
-        assert flipped.flip((0, 0)) == config
-        with pytest.raises(ValueError):
-            config.flip((7, 7))
 
 
 class TestSampling:
