@@ -22,6 +22,7 @@ from .harness import (
     kcm_trials_csv,
     run_sweep,
 )
+from .kcm import backend
 
 
 class _Group(click.Group):
@@ -163,7 +164,7 @@ def kcm_run(family, q, box, trials, tmax, seed, persistence, out_path):
         click.echo(text, nl=False)
     click.echo(
         f"# mean={summary.mean:.6g} median={summary.median:.6g} "
-        f"censored={summary.censor_fraction:.3f}",
+        f"censored={summary.censor_fraction:.3f} backend={backend()}",
         err=True,
     )
 

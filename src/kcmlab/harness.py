@@ -1,10 +1,11 @@
 """Experiment orchestration: q-sweeps, scaling fits, density estimates.
 
 A sweep writes one CSV per q value plus a manifest JSON recording seeds,
-package version and wall-clock times; the manifest is written last and
-atomically, so its presence certifies a complete sweep.  Fits regress the
-log of a measured time against a fixed family of predictors in q and
-report every fit, flagging a winner by R².
+package version, the KCM event-loop backend, wall-clock times and, for a
+failed cell, the error and its exception type; the manifest is written
+last and atomically, so its presence certifies a complete sweep.  Fits
+regress the log of a measured time against a fixed family of predictors
+in q and report every fit, flagging a winner by R².
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .geometry import Region
 from .kcm import (
     BatchSummary,
     SimParams,
+    backend,
     batch_tau0,
     east_chain_region,
     frozen_boundary_for,
@@ -193,9 +195,11 @@ def run_sweep(config: ExperimentConfig) -> Dict[str, object]:
             cells.append({
                 "q": q, "file": fname, "status": "error",
                 "wall_seconds": time.monotonic() - t0, "error": str(exc),
+                "error_type": type(exc).__name__,
             })
     manifest = {
         "version": __version__,
+        "backend": backend(),
         "kind": config.kind,
         "family": config.family,
         "seed": config.seed,

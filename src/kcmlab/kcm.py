@@ -8,19 +8,33 @@ is 1 regardless of the constraint.  Rings are produced by a single
 aggregate exponential clock plus a uniform site choice, which has the same
 law as per-site clocks by superposition of Poisson processes.
 
-The event loop ``_event_loop_lists`` runs in pure Python on lists and on
-the per-site rule tuples of ``families.compile_rules``, which avoids numpy
-scalar access on every ring.  The array-based ``_event_loop`` reads the
-same tables as flat pointer arrays; it is not on the simulation path and
-serves as the list loop's test oracle, since both consume the same
-pre-drawn randoms and give identical trajectories.
+The randoms are drawn by numpy in batches; the event loop that consumes a
+batch is a small C function, ``_C_SOURCE``, called through ``ctypes`` on the
+flat tables ``Dynamics.site_ptr``, ``rule_ptr`` and ``neighbors``.  It is
+built on first import with the system ``gcc -O2 -shared -fPIC`` into
+``$XDG_CACHE_HOME/kcmlab`` (else ``~/.cache/kcmlab``), under a name keyed
+by the source's sha256; the library is written to a temporary file and
+moved into place, so concurrent processes are safe, and later imports only
+load it.  If the compiler is missing, the build fails or the cache is not
+writable, one line on stderr says why and the pure-Python
+``_event_loop_lists`` runs instead.  ``_event_loop`` is whichever of the
+two runs.  The list loop reads the per-site rule tuples of
+``families.compile_rules`` and is also the compiled loop's test oracle:
+both consume the same pre-drawn randoms and give identical trajectories,
+so outputs do not depend on which one ran.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
+import subprocess
+import sys
+import tempfile
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,7 +81,8 @@ class Dynamics:
 
     ``site_rules[i]`` holds one tuple of neighbour indices per live rule of
     site i (see ``families.compile_rules``); ``site_ptr``, ``rule_ptr`` and
-    ``neighbors`` hold the same tables as flat arrays.
+    ``neighbors`` hold the same tables as flat arrays, and ``table_ptrs``
+    their addresses, for the compiled event loop.
     """
 
     def __init__(self, family: UpdateFamily, region: Region, exterior=ALL_HEALTHY):
@@ -84,6 +99,7 @@ class Dynamics:
         self.neighbors = np.fromiter(
             (j for rule in rules for j in rule), dtype=np.int64, count=int(self.rule_ptr[-1])
         )
+        self.table_ptrs = tuple(a.ctypes.data for a in (self.site_ptr, self.rule_ptr, self.neighbors))
 
     def sample_state(self, q: float, rng: np.random.Generator) -> np.ndarray:
         """Stationary product start: occupied with probability 1 - q."""
@@ -99,44 +115,15 @@ _STATUS_HIT = 1
 _STATUS_TMAX = 2
 
 
-def _event_loop(state, site_ptr, rule_ptr, neighbors, origin, q, t, t_max, mode,
-                dts, picks, coins):
-    """Process one batch of pre-drawn randoms; returns
-    (status, t, events, legal)."""
-    events = 0
-    legal = 0
-    for k in range(dts.shape[0]):
-        t_next = t + dts[k]
-        if t_next > t_max:
-            return _STATUS_TMAX, t_max, events, legal
-        t = t_next
-        i = picks[k]
-        c = False
-        for r in range(site_ptr[i], site_ptr[i + 1]):
-            ok = True
-            for j in range(rule_ptr[r], rule_ptr[r + 1]):
-                if state[neighbors[j]] != 0:
-                    ok = False
-                    break
-            if ok:
-                c = True
-                break
-        events += 1
-        if not c:
-            continue
-        legal += 1
-        state[i] = 0 if coins[k] < q else 1
-        if i == origin and (mode == MODE_PERSISTENCE or (mode == MODE_TAU0 and state[i] == 0)):
-            return _STATUS_HIT, t, events, legal
-    return _STATUS_EXHAUSTED, t, events, legal
-
-
 def _event_loop_lists(state, site_rules, origin, q, t, t_max, mode, dts, picks, coins):
-    """Pure-Python twin of ``_event_loop`` with the same arguments and
-    return value, except that the constraint tables come as
-    ``Dynamics.site_rules``.  Ring times are one cumulative sum (numpy
-    accumulates sequentially, so they equal ``t += dt`` bit for bit) and
-    the rings past ``t_max`` are cut before the loop starts."""
+    """Process one batch of pre-drawn randoms; returns
+    (status, t, events, legal).
+
+    Ring k happens at ``t + dts[0] + ... + dts[k]`` at site ``picks[k]``;
+    it is processed if that time is at most ``t_max``.  A legal ring sets
+    the site empty if ``coins[k] < q``.  Ring times are one cumulative sum
+    (numpy accumulates sequentially, so they equal ``t += dt`` bit for bit)
+    and the rings past ``t_max`` are cut before the loop starts."""
     times = np.cumsum(np.concatenate(([t], dts)))[1:]
     stop = int(np.searchsorted(times, t_max, side="right"))
     st = state.tolist()
@@ -169,6 +156,126 @@ def _event_loop_lists(state, site_rules, origin, q, t, t_max, mode, dts, picks, 
     return _STATUS_EXHAUSTED, float(times[-1]), stop, legal
 
 
+_C_SOURCE = r"""
+#include <stdint.h>
+
+/* _event_loop_lists on the flat tables of Dynamics: clock holds t on
+   entry and the stop time on return, counts receives (events, legal), and
+   the status is returned.  Mode 0 is MODE_TAU0 and 1 MODE_PERSISTENCE;
+   status 0 is _STATUS_EXHAUSTED, 1 _STATUS_HIT and 2 _STATUS_TMAX. */
+int kcm_event_loop(int8_t *state, const int64_t *site_ptr, const int64_t *rule_ptr,
+                   const int64_t *neighbors, int64_t origin, double q, double t_max,
+                   int mode, int64_t n, const double *dts, const int64_t *picks,
+                   const double *coins, double *clock, int64_t *counts)
+{
+    double t = *clock;
+    int64_t k, r, j, legal = 0;
+    int status = 0;
+    for (k = 0; k < n; k++) {
+        int64_t i = picks[k];
+        int ok = 0;
+        if (t + dts[k] > t_max) {
+            t = t_max;
+            status = 2;
+            break;
+        }
+        t += dts[k];
+        for (r = site_ptr[i]; r < site_ptr[i + 1] && !ok; r++) {
+            ok = 1;
+            for (j = rule_ptr[r]; j < rule_ptr[r + 1] && ok; j++)
+                ok = !state[neighbors[j]];
+        }
+        if (!ok)
+            continue;
+        legal++;
+        state[i] = coins[k] >= q;
+        if (i == origin && (mode == 1 || (mode == 0 && !state[i]))) {
+            status = 1;
+            k++;
+            break;
+        }
+    }
+    *clock = t;
+    counts[0] = k;
+    counts[1] = legal;
+    return status;
+}
+"""
+
+
+def _build(compiler: Sequence[str], cache_dir: str, lib: str) -> None:
+    """Compile ``_C_SOURCE`` into a temporary file in ``cache_dir``, then
+    move it to ``lib``; raises ``OSError`` naming the step that failed."""
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".so.tmp")
+    except OSError as exc:
+        raise OSError(f"cache directory {cache_dir} is not writable: {exc}") from exc
+    os.close(fd)
+    try:
+        cmd = [*compiler, "-O2", "-shared", "-fPIC", "-x", "c", "-", "-o", tmp]
+        try:
+            built = subprocess.run(cmd, input=_C_SOURCE, capture_output=True, text=True)
+        except OSError as exc:
+            raise OSError(f"cannot run compiler {compiler[0]!r}: {exc}") from exc
+        if built.returncode != 0:
+            detail = (built.stderr.strip().splitlines() or ["no output"])[0]
+            raise OSError(f"{compiler[0]} exited with status {built.returncode}: {detail}")
+        os.replace(tmp, lib)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _load_event_loop(compiler: Sequence[str] = ("gcc",), cache_dir: Optional[str] = None):
+    """The compiled event loop from ``cache_dir`` (default
+    ``$XDG_CACHE_HOME/kcmlab``, else ``~/.cache/kcmlab``), built there first
+    unless a library for this source exists; on any failure, one line on
+    stderr and ``_event_loop_lists``."""
+    if cache_dir is None:
+        base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+        cache_dir = os.path.join(base, "kcmlab")
+    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
+    lib = os.path.join(cache_dir, f"kcm_loop-{digest}.so")
+    try:
+        if not os.path.exists(lib):
+            _build(compiler, cache_dir, lib)
+        loop = ctypes.CDLL(lib).kcm_event_loop
+    except OSError as exc:
+        print(f"kcmlab: compiled event loop unavailable, using the Python loop: {exc}",
+              file=sys.stderr)
+        return _event_loop_lists
+    ptr = ctypes.c_void_p
+    loop.argtypes = [ptr, ptr, ptr, ptr, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
+                     ctypes.c_int, ctypes.c_int64, ptr, ptr, ptr,
+                     ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)]
+    loop.restype = ctypes.c_int
+    return loop
+
+
+def backend() -> str:
+    """``"c"`` when the compiled event loop runs, ``"python"`` otherwise."""
+    return "python" if _event_loop is _event_loop_lists else "c"
+
+
+def _ptr(a: np.ndarray):
+    """Address of a nonempty, writable, C-contiguous array for the compiled
+    loop; cheaper per call than ``a.ctypes.data``, and it keeps ``a`` alive."""
+    return ctypes.byref(ctypes.c_char.from_buffer(a))
+
+
+def _batch(loop, dyn: Dynamics, state, origin, q, t, t_max, mode, dts, picks, coins):
+    """One batch through ``loop``, the compiled loop or
+    ``_event_loop_lists``; returns (status, t, events, legal)."""
+    if loop is _event_loop_lists:
+        return loop(state, dyn.site_rules, origin, q, t, t_max, mode, dts, picks, coins)
+    clock = ctypes.c_double(t)
+    counts = (ctypes.c_int64 * 2)()
+    status = loop(_ptr(state), *dyn.table_ptrs, origin, q, t_max, mode, dts.shape[0],
+                  _ptr(dts), _ptr(picks), _ptr(coins), clock, counts)
+    return status, clock.value, counts[0], counts[1]
+
+
 _BATCH = 1 << 14
 
 
@@ -194,8 +301,8 @@ def _run(
         dts = rng.exponential(1.0 / n, size=batch)
         picks = rng.integers(0, n, size=batch)
         coins = rng.random(batch)
-        status, t, ev, lg = _event_loop_lists(
-            state, dyn.site_rules, origin_idx, q, t, t_max, mode, dts, picks, coins
+        status, t, ev, lg = _batch(
+            _event_loop, dyn, state, origin_idx, q, t, t_max, mode, dts, picks, coins
         )
         events += ev
         legal += lg
@@ -241,14 +348,21 @@ def sample_state_at(
     dyn: Optional[Dynamics] = None,
     initial_state: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """State vector at a fixed time, no stopping rule."""
+    """State vector at a fixed time, no stopping rule.  ``initial_state``,
+    if given, holds one 0 or 1 per site of the dynamics; it is copied."""
     if dyn is None:
         dyn = make_dynamics(params)
     rng = derive_rng(params.seed, params.trial)
     if initial_state is None:
         state = dyn.sample_state(params.q, rng)
     else:
-        state = initial_state.astype(np.int8).copy()
+        state = np.asarray(initial_state)
+        if state.shape != (dyn.n,) or not ((state == 0) | (state == 1)).all():
+            raise ValueError(
+                f"initial_state must hold {dyn.n} entries, each 0 or 1; "
+                f"got shape {state.shape}"
+            )
+        state = state.astype(np.int8)
     _run(dyn, state, params.q, t_obs, MODE_RUN, rng)
     return state
 
@@ -349,3 +463,6 @@ def frozen_boundary_for(family: UpdateFamily, region: Region) -> BoundaryExterio
     family whose only rule is the east neighbour never flips the east end.
     """
     return BoundaryExterior(BoundaryCondition.uniform(region, 0))
+
+
+_event_loop = _load_event_loop()

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from kcmlab import kcm
 from kcmlab.cli import main
 from kcmlab.families import builtin_family
 from kcmlab.harness import exact_report
@@ -116,7 +117,19 @@ class TestKcmRun:
         row = lines[2].split(",")
         assert row[0] == "0" and row[1] == "3"
         float(row[3])  # tau0 parses
-        assert "median=" in result.stderr
+        summary = result.stderr.strip().splitlines()[-1]
+        assert "median=" in summary
+        assert summary.endswith(f"backend={kcm.backend()}")
+
+    def test_backend_names_the_fallback(self, runner, monkeypatch):
+        monkeypatch.setattr(kcm, "_event_loop", kcm._event_loop_lists)
+        result = invoke(
+            runner,
+            ["kcm-run", "--family", "east1d", "--q", "0.4", "--box", "4x1",
+             "--trials", "3", "--tmax", "100", "--seed", "3"],
+        )
+        assert result.exit_code == 0
+        assert result.stderr.strip().splitlines()[-1].endswith("backend=python")
 
     def test_csv_to_file(self, runner, tmp_path):
         out = tmp_path / "runs.csv"
@@ -313,6 +326,8 @@ class TestSweepAndFit:
         assert result.exit_code == 1
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"] == "partial-failure"
+        assert manifest["backend"] == kcm.backend()
+        assert manifest["cells"][0]["error_type"] == "StateSpaceError"
 
 
 class TestConfigFile:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kcmlab import __version__
+from kcmlab import __version__, kcm
 from kcmlab.harness import (
     PREDICTORS,
     ExperimentConfig,
@@ -58,6 +58,8 @@ class TestSweep:
             assert lines[0] == csv_header_comment(1)
             assert lines[1] == "trial,seed,q,tau0,censored,events,legal_updates"
             assert len(lines) == 2 + 20
+        assert manifest["backend"] == kcm.backend()
+        assert manifest["backend"] in ("c", "python")
         on_disk = json.loads((tmp_path / "manifest.json").read_text())
         assert on_disk == manifest
         assert not list(tmp_path.glob("*.tmp"))
@@ -104,6 +106,8 @@ class TestSweep:
         manifest = run_sweep(cfg)
         assert manifest["status"] == "partial-failure"
         assert all(c["status"] == "error" for c in manifest["cells"])
+        assert all(c["error_type"] == "StateSpaceError" for c in manifest["cells"])
+        assert all("exceeds cap" in c["error"] for c in manifest["cells"])
         assert (tmp_path / "manifest.json").exists()
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from kcmlab import kcm
 from kcmlab.exact import _constraint_bit, _site_masks, build_generator
-from kcmlab.families import builtin_family, compile_rules, constraint_satisfied
+from kcmlab.families import builtin_family, compile_rules, constraint_satisfied, load_family
 from kcmlab.geometry import (
     ALL_HEALTHY,
     ALL_INFECTED,
@@ -15,6 +16,7 @@ from kcmlab.geometry import (
     Region,
     boundaries,
 )
+from kcmlab.harness import ExperimentConfig, run_sweep
 from kcmlab.kcm import (
     SimParams,
     batch_tau0,
@@ -299,41 +301,156 @@ class TestValidation:
         with pytest.raises(ValueError, match="origin must lie in the region"):
             SimParams(EAST1, 0.5, Region([(1, 0), (2, 0)]))
 
+    @pytest.mark.parametrize(
+        "start",
+        [np.ones(4, dtype=np.int8), np.ones(30, dtype=np.int8), np.full(10, 2, dtype=np.int8)],
+        ids=["short", "long", "entry-2"],
+    )
+    def test_bad_initial_state(self, start):
+        region = east_chain_region(10)
+        params = SimParams(EAST1, 0.4, region, frozen_boundary_for(EAST1, region), seed=1)
+        with pytest.raises(ValueError, match="initial_state must hold 10 entries, each 0 or 1"):
+            sample_state_at(params, 5.0, initial_state=start)
 
+
+COMPILED = pytest.mark.skipif(
+    kcm._event_loop is kcm._event_loop_lists,
+    reason="the compiled event loop could not be built (kcmlab.kcm printed why on "
+    "stderr at import), so there is nothing to check against the list loop",
+)
+WEST = load_family('{"name":"west","rules":[[[1,0]]]}')
+
+
+@COMPILED
 @pytest.mark.parametrize(
     "family,region",
     [
         (EAST1, east_chain_region(30)),
-        (DUARTE, Region.rectangle(0, 0, 4, 4)),
-        (builtin_family("east2d"), Region.rectangle(0, 0, 3, 3)),
+        (DUARTE, Region.rectangle(0, 4, 0, 4)),
+        (builtin_family("east2d"), Region.rectangle(0, 3, 0, 3)),
+        (WEST, east_chain_region(12)),
     ],
-    ids=["east1d", "duarte", "east2d"],
+    ids=["east1d", "duarte", "east2d", "west"],
 )
-def test_list_event_loop_matches_array_loop(family, region):
+def test_compiled_event_loop_matches_list_loop(family, region):
     """Both event loops return the same status, time, counts and final
-    state on identical pre-drawn randoms, in every mode."""
-    from kcmlab.kcm import Dynamics, _event_loop, _event_loop_lists
-
-    dyn = Dynamics(family, region, frozen_boundary_for(family, region))
+    state on identical pre-drawn randoms, in every mode; some batches hold
+    one ring, and some stop at a ring whose time is exactly t_max."""
+    dyn = kcm.Dynamics(family, region, frozen_boundary_for(family, region))
     rng = np.random.default_rng(17)
     statuses = set()
-    for _ in range(150):
+    for case in range(150):
         q = float(rng.uniform(0.05, 0.9))
-        nb = int(rng.integers(1, 2000))
+        nb = 1 if case % 10 == 0 else int(rng.integers(1, 2000))
         state = (rng.random(dyn.n) >= q).astype(np.int8)
         dts = rng.exponential(1.0 / dyn.n, size=nb)
         picks = rng.integers(0, dyn.n, size=nb)
         coins = rng.random(nb)
         t = float(rng.random())
-        t_max = t + float(rng.uniform(0.0, 1.5 * nb / dyn.n))
+        if case % 3 == 0:
+            t_max = float(np.cumsum(np.concatenate(([t], dts)))[1 + int(rng.integers(0, nb))])
+        else:
+            t_max = t + float(rng.uniform(0.0, 1.5 * nb / dyn.n))
         mode = int(rng.integers(0, 3))
         origin = int(rng.integers(0, dyn.n))
         a, b = state.copy(), state.copy()
-        ra = _event_loop(a, dyn.site_ptr, dyn.rule_ptr, dyn.neighbors,
-                         origin, q, t, t_max, mode, dts, picks, coins)
-        rb = _event_loop_lists(b, dyn.site_rules, origin, q, t, t_max,
-                               mode, dts, picks, coins)
+        args = (origin, q, t, t_max, mode, dts, picks, coins)
+        ra = kcm._batch(kcm._event_loop, dyn, a, *args)
+        rb = kcm._batch(kcm._event_loop_lists, dyn, b, *args)
         assert tuple(ra) == tuple(rb)
         assert np.array_equal(a, b)
         statuses.add(ra[0])
     assert statuses == {0, 1, 2}
+
+
+@pytest.mark.parametrize("loop", ["compiled", "lists"])
+def test_ring_at_t_max_is_processed(loop):
+    """A ring at exactly t_max happens; the first ring after it stops the
+    batch with the clock at t_max."""
+    if loop == "compiled" and kcm._event_loop is kcm._event_loop_lists:
+        pytest.skip("the compiled event loop could not be built")
+    fn = kcm._event_loop if loop == "compiled" else kcm._event_loop_lists
+    region = east_chain_region(4)
+    dyn = kcm.Dynamics(EAST1, region, frozen_boundary_for(EAST1, region))
+    dts = np.full(6, 0.25)
+    picks = np.zeros(6, dtype=np.int64)  # the free west end: every ring is legal
+    coins = np.zeros(6)
+    state = np.ones(4, dtype=np.int8)
+    status, t, events, legal = kcm._batch(
+        fn, dyn, state, 3, 0.5, 0.0, 1.0, kcm.MODE_RUN, dts, picks, coins
+    )
+    assert (status, t, events, legal) == (kcm._STATUS_TMAX, 1.0, 4, 4)
+    assert state[0] == 0
+    state = np.ones(4, dtype=np.int8)
+    status, t, events, legal = kcm._batch(
+        fn, dyn, state, 3, 0.5, 0.0, 1.5, kcm.MODE_RUN, dts, picks, coins
+    )
+    assert (status, t, events, legal) == (kcm._STATUS_EXHAUSTED, 1.5, 6, 6)
+
+
+@COMPILED
+@pytest.mark.parametrize("persistence", [False, True])
+def test_batch_tau0_same_on_both_loops(monkeypatch, persistence):
+    """Whole trials that span several batches of ``_run`` give the same
+    results on the compiled loop and on the list loop."""
+    region = east_chain_region(20)
+    params = SimParams(
+        EAST1, 0.3, region, frozen_boundary_for(EAST1, region), t_max=300.0, seed=4
+    )
+    compiled, _ = batch_tau0(params, 40, persistence=persistence)
+    monkeypatch.setattr(kcm, "_event_loop", kcm._event_loop_lists)
+    lists, _ = batch_tau0(params, 40, persistence=persistence)
+    assert compiled == lists
+    # batches hold 64, 256, 1024, ... rings: some trial needs three or more
+    assert max(r.events for r in compiled) > 64 + 256
+
+
+class TestLoopLoader:
+    def test_missing_compiler(self, tmp_path, capsys):
+        loop = kcm._load_event_loop(("kcmlab-no-such-cc",), str(tmp_path / "cache"))
+        assert loop is kcm._event_loop_lists
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "cannot run compiler 'kcmlab-no-such-cc'" in err[0]
+
+    def test_unwritable_cache(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        loop = kcm._load_event_loop(("gcc",), str(blocker / "kcmlab"))
+        assert loop is kcm._event_loop_lists
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "is not writable" in err[0]
+
+    def test_failed_build(self, tmp_path, capsys):
+        loop = kcm._load_event_loop(("false",), str(tmp_path))
+        assert loop is kcm._event_loop_lists
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "false exited with status 1" in err[0]
+        assert list(tmp_path.iterdir()) == []
+
+    @COMPILED
+    def test_cached_library_is_loaded(self, tmp_path, capsys):
+        first = kcm._load_event_loop(("gcc",), str(tmp_path))
+        built = list(tmp_path.iterdir())
+        assert first is not kcm._event_loop_lists
+        assert len(built) == 1 and built[0].name.endswith(".so")
+        # a second load finds the library and never runs the compiler
+        second = kcm._load_event_loop(("kcmlab-no-such-cc",), str(tmp_path))
+        assert second is not kcm._event_loop_lists
+        assert capsys.readouterr().err == ""
+
+    @COMPILED
+    def test_sweep_bytes_on_fallback(self, tmp_path, monkeypatch):
+        outs = []
+        for sub in ("c", "python"):
+            if sub == "python":
+                monkeypatch.setattr(kcm, "_event_loop", kcm._event_loop_lists)
+            config = ExperimentConfig(
+                kind="kcm", family="duarte", qs=[0.45, 0.35], box=5, trials=12,
+                t_max=200.0, seed=6, out_dir=str(tmp_path / sub),
+            )
+            manifest = run_sweep(config)
+            assert manifest["backend"] == sub
+            outs.append([(tmp_path / sub / c["file"]).read_bytes() for c in manifest["cells"]])
+        assert outs[0] == outs[1]
