@@ -8,20 +8,30 @@ is 1 regardless of the constraint.  Rings are produced by a single
 aggregate exponential clock plus a uniform site choice, which has the same
 law as per-site clocks by superposition of Poisson processes.
 
-The randoms are drawn by numpy in batches; the event loop that consumes a
-batch is a small C function, ``_C_SOURCE``, called through ``ctypes`` on the
-flat tables ``Dynamics.site_ptr``, ``rule_ptr`` and ``neighbors``.  It is
-built on first import with the system ``gcc -O2 -shared -fPIC`` into
+Each trial draws its randoms from its own PCG64 stream, one per use, in
+this order per ring: the waiting time, ``random_standard_exponential``
+times 1/n; if the ring falls past ``t_max``, nothing more, and the clock
+stops at ``t_max``; else the site, ``random_bounded_uint64`` on [0, n-1];
+and, only if the ring is legal, the coin, ``next_double``.  The event loop
+that draws them is a small C function, ``_C_SOURCE``, called through
+``ctypes`` once per trial (once per segment in ``observe_trajectory``) on
+the flat tables ``Dynamics.site_ptr``, ``rule_ptr`` and ``neighbors`` and
+on the generator's ``bitgen_t``.  It draws through numpy's own
+distribution code, linked in statically from numpy's
+``random/lib/libnpyrandom.a``.  It is built on first import with the
+system ``gcc -O2 -shared -fPIC ... -lnpyrandom -lm`` into
 ``$XDG_CACHE_HOME/kcmlab`` (else ``~/.cache/kcmlab``), under a name keyed
-by the source's sha256; the library is written to a temporary file and
-moved into place, so concurrent processes are safe, and later imports only
-load it.  If the compiler is missing, the build fails or the cache is not
-writable, one line on stderr says why and the pure-Python
-``_event_loop_lists`` runs instead.  ``_event_loop`` is whichever of the
-two runs.  The list loop reads the per-site rule tuples of
-``families.compile_rules`` and is also the compiled loop's test oracle:
-both consume the same pre-drawn randoms and give identical trajectories,
-so outputs do not depend on which one ran.
+by the sha256 of the source and numpy's version; the library is written to
+a temporary file and moved into place, so concurrent processes are safe,
+and later imports only load it.  If the compiler or numpy's library is
+missing, the build fails or the cache is not writable, one line on stderr
+says why and the pure-Python ``_event_loop_lists`` runs instead.
+``_event_loop`` is whichever of the two runs.  The list loop reads the
+per-site rule tuples of ``families.compile_rules`` and makes the same
+draws through ``Generator`` scalar calls (``standard_exponential``,
+``integers(0, n)``, ``random``), which give the same numbers and leave the
+generator in the same state; so outputs do not depend on which loop ran,
+and the list loop is the compiled loop's test oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -110,30 +120,28 @@ MODE_TAU0 = 0
 MODE_PERSISTENCE = 1
 MODE_RUN = 2
 
-_STATUS_EXHAUSTED = 0
-_STATUS_HIT = 1
-_STATUS_TMAX = 2
 
-
-def _event_loop_lists(state, site_rules, origin, q, t, t_max, mode, dts, picks, coins):
-    """Process one batch of pre-drawn randoms; returns
-    (status, t, events, legal).
-
-    Ring k happens at ``t + dts[0] + ... + dts[k]`` at site ``picks[k]``;
-    it is processed if that time is at most ``t_max``.  A legal ring sets
-    the site empty if ``coins[k] < q``.  Ring times are one cumulative sum
-    (numpy accumulates sequentially, so they equal ``t += dt`` bit for bit)
-    and the rings past ``t_max`` are cut before the loop starts."""
-    times = np.cumsum(np.concatenate(([t], dts)))[1:]
-    stop = int(np.searchsorted(times, t_max, side="right"))
+def _event_loop_lists(state, site_rules, origin, q, t, t_max, mode, rng):
+    """Run from clock ``t`` until ``mode`` stops the run at the origin or the
+    next ring falls past ``t_max``, drawing from ``rng`` in the order of the
+    module docstring; returns (hit, t, events, legal).  A legal ring sets
+    the site empty if its coin is below ``q``."""
+    n = len(site_rules)
+    rate = 1.0 / n
+    exponential, integers, uniform = rng.standard_exponential, rng.integers, rng.random
     st = state.tolist()
-    picks_l = picks[:stop].tolist()
-    new_l = (coins[:stop] >= q).astype(np.int8).tolist()
     stop_at_update = mode == MODE_PERSISTENCE
     stop_at_empty = mode == MODE_TAU0
-    legal = 0
-    hit = -1
-    for k, i in enumerate(picks_l):
+    events = legal = 0
+    hit = False
+    while True:
+        dt = exponential() * rate
+        if t + dt > t_max:
+            t = t_max
+            break
+        t += dt
+        events += 1
+        i = int(integers(0, n))
         for rule in site_rules[i]:
             for j in rule:
                 if st[j]:
@@ -143,43 +151,54 @@ def _event_loop_lists(state, site_rules, origin, q, t, t_max, mode, dts, picks, 
         else:
             continue
         legal += 1
-        v = new_l[k]
+        v = int(uniform() >= q)
         st[i] = v
         if i == origin and (stop_at_update or (stop_at_empty and v == 0)):
-            hit = k
+            hit = True
             break
     state[:] = st
-    if hit >= 0:
-        return _STATUS_HIT, float(times[hit]), hit + 1, legal
-    if stop < dts.shape[0]:
-        return _STATUS_TMAX, t_max, stop, legal
-    return _STATUS_EXHAUSTED, float(times[-1]), stop, legal
+    return hit, t, events, legal
 
 
 _C_SOURCE = r"""
+#include <stdbool.h>
 #include <stdint.h>
 
-/* _event_loop_lists on the flat tables of Dynamics: clock holds t on
-   entry and the stop time on return, counts receives (events, legal), and
-   the status is returned.  Mode 0 is MODE_TAU0 and 1 MODE_PERSISTENCE;
-   status 0 is _STATUS_EXHAUSTED, 1 _STATUS_HIT and 2 _STATUS_TMAX. */
+/* numpy/random/bitgen.h, and two functions of numpy's distributions.h,
+   which cannot be included because it includes Python.h. */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+double random_standard_exponential(bitgen_t *bitgen_state);
+uint64_t random_bounded_uint64(bitgen_t *bitgen_state, uint64_t off, uint64_t rng,
+                               uint64_t mask, bool use_masked);
+
+/* _event_loop_lists on the flat tables of Dynamics, drawing from g: clock
+   holds t on entry and the stop time on return, counts receives (events,
+   legal), and 1 is returned if the origin stopped the run.  Mode 0 is
+   MODE_TAU0 and 1 MODE_PERSISTENCE. */
 int kcm_event_loop(int8_t *state, const int64_t *site_ptr, const int64_t *rule_ptr,
-                   const int64_t *neighbors, int64_t origin, double q, double t_max,
-                   int mode, int64_t n, const double *dts, const int64_t *picks,
-                   const double *coins, double *clock, int64_t *counts)
+                   const int64_t *neighbors, int64_t n, int64_t origin, double q,
+                   double t_max, int mode, bitgen_t *g, double *clock, int64_t *counts)
 {
-    double t = *clock;
-    int64_t k, r, j, legal = 0;
-    int status = 0;
-    for (k = 0; k < n; k++) {
-        int64_t i = picks[k];
+    double t = *clock, rate = 1.0 / n;
+    int64_t events = 0, legal = 0, r, j;
+    int hit = 0;
+    for (;;) {
+        double dt = random_standard_exponential(g) * rate;
+        int64_t i;
         int ok = 0;
-        if (t + dts[k] > t_max) {
+        if (t + dt > t_max) {
             t = t_max;
-            status = 2;
             break;
         }
-        t += dts[k];
+        t += dt;
+        events++;
+        i = (int64_t)random_bounded_uint64(g, 0, n - 1, 0, 0);
         for (r = site_ptr[i]; r < site_ptr[i + 1] && !ok; r++) {
             ok = 1;
             for (j = rule_ptr[r]; j < rule_ptr[r + 1] && ok; j++)
@@ -188,24 +207,34 @@ int kcm_event_loop(int8_t *state, const int64_t *site_ptr, const int64_t *rule_p
         if (!ok)
             continue;
         legal++;
-        state[i] = coins[k] >= q;
+        state[i] = g->next_double(g->state) >= q;
         if (i == origin && (mode == 1 || (mode == 0 && !state[i]))) {
-            status = 1;
-            k++;
+            hit = 1;
             break;
         }
     }
     *clock = t;
-    counts[0] = k;
+    counts[0] = events;
     counts[1] = legal;
-    return status;
+    return hit;
 }
 """
 
 
-def _build(compiler: Sequence[str], cache_dir: str, lib: str) -> None:
-    """Compile ``_C_SOURCE`` into a temporary file in ``cache_dir``, then
-    move it to ``lib``; raises ``OSError`` naming the step that failed."""
+def _library_name(numpy_version: str) -> str:
+    """File name of the compiled loop: numpy's random code is linked into
+    it, so the key covers numpy's version as well as the source."""
+    digest = hashlib.sha256((_C_SOURCE + numpy_version).encode()).hexdigest()[:16]
+    return f"kcm_loop-{digest}.so"
+
+
+def _build(compiler: Sequence[str], cache_dir: str, lib: str, npyrandom_dir: str) -> None:
+    """Compile ``_C_SOURCE`` against ``npyrandom_dir/libnpyrandom.a`` into a
+    temporary file in ``cache_dir``, then move it to ``lib``; raises
+    ``OSError`` naming the step that failed."""
+    archive = os.path.join(npyrandom_dir, "libnpyrandom.a")
+    if not os.path.isfile(archive):
+        raise OSError(f"numpy's random library {archive} is missing")
     try:
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".so.tmp")
@@ -213,7 +242,9 @@ def _build(compiler: Sequence[str], cache_dir: str, lib: str) -> None:
         raise OSError(f"cache directory {cache_dir} is not writable: {exc}") from exc
     os.close(fd)
     try:
-        cmd = [*compiler, "-O2", "-shared", "-fPIC", "-x", "c", "-", "-o", tmp]
+        # no fused multiply-add, so that t + dt * (1/n) rounds as in Python
+        cmd = [*compiler, "-O2", "-ffp-contract=off", "-shared", "-fPIC", "-x", "c", "-",
+               "-o", tmp, f"-L{npyrandom_dir}", "-lnpyrandom", "-lm"]
         try:
             built = subprocess.run(cmd, input=_C_SOURCE, capture_output=True, text=True)
         except OSError as exc:
@@ -227,27 +258,33 @@ def _build(compiler: Sequence[str], cache_dir: str, lib: str) -> None:
             os.remove(tmp)
 
 
-def _load_event_loop(compiler: Sequence[str] = ("gcc",), cache_dir: Optional[str] = None):
+def _load_event_loop(
+    compiler: Sequence[str] = ("gcc",),
+    cache_dir: Optional[str] = None,
+    npyrandom_dir: Optional[str] = None,
+):
     """The compiled event loop from ``cache_dir`` (default
     ``$XDG_CACHE_HOME/kcmlab``, else ``~/.cache/kcmlab``), built there first
-    unless a library for this source exists; on any failure, one line on
-    stderr and ``_event_loop_lists``."""
+    against ``npyrandom_dir`` (default numpy's ``random/lib``) unless a
+    library for this source and numpy version exists; on any failure, one
+    line on stderr and ``_event_loop_lists``."""
     if cache_dir is None:
         base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
         cache_dir = os.path.join(base, "kcmlab")
-    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
-    lib = os.path.join(cache_dir, f"kcm_loop-{digest}.so")
+    if npyrandom_dir is None:
+        npyrandom_dir = os.path.join(os.path.dirname(np.__file__), "random", "lib")
+    lib = os.path.join(cache_dir, _library_name(np.__version__))
     try:
         if not os.path.exists(lib):
-            _build(compiler, cache_dir, lib)
+            _build(compiler, cache_dir, lib, npyrandom_dir)
         loop = ctypes.CDLL(lib).kcm_event_loop
     except OSError as exc:
         print(f"kcmlab: compiled event loop unavailable, using the Python loop: {exc}",
               file=sys.stderr)
         return _event_loop_lists
     ptr = ctypes.c_void_p
-    loop.argtypes = [ptr, ptr, ptr, ptr, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
-                     ctypes.c_int, ctypes.c_int64, ptr, ptr, ptr,
+    loop.argtypes = [ptr, ptr, ptr, ptr, ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
+                     ctypes.c_double, ctypes.c_int, ptr,
                      ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)]
     loop.restype = ctypes.c_int
     return loop
@@ -264,19 +301,12 @@ def _ptr(a: np.ndarray):
     return ctypes.byref(ctypes.c_char.from_buffer(a))
 
 
-def _batch(loop, dyn: Dynamics, state, origin, q, t, t_max, mode, dts, picks, coins):
-    """One batch through ``loop``, the compiled loop or
-    ``_event_loop_lists``; returns (status, t, events, legal)."""
-    if loop is _event_loop_lists:
-        return loop(state, dyn.site_rules, origin, q, t, t_max, mode, dts, picks, coins)
-    clock = ctypes.c_double(t)
-    counts = (ctypes.c_int64 * 2)()
-    status = loop(_ptr(state), *dyn.table_ptrs, origin, q, t_max, mode, dts.shape[0],
-                  _ptr(dts), _ptr(picks), _ptr(coins), clock, counts)
-    return status, clock.value, counts[0], counts[1]
-
-
-_BATCH = 1 << 14
+# The bitgen_t of a bit generator, from its capsule: cheaper per generator
+# than ``bit_generator.ctypes``, which builds three function casts.  A
+# prototype of its own leaves ``ctypes.pythonapi``'s attribute untouched.
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
 
 
 def _run(
@@ -288,58 +318,50 @@ def _run(
     rng: np.random.Generator,
     origin_idx: int = 0,
     t0: float = 0.0,
-) -> Tuple[int, float, int, int]:
-    """Drive the event loop until a stop condition; randoms are drawn in
-    batches from the caller's stream so trajectories are reproducible."""
-    n = dyn.n
-    t = t0
-    events = 0
-    legal = 0
-    # expected events to t_max is n * (t_max - t0); start small and grow
-    batch = max(64, min(_BATCH, 2 * n))
-    while True:
-        dts = rng.exponential(1.0 / n, size=batch)
-        picks = rng.integers(0, n, size=batch)
-        coins = rng.random(batch)
-        status, t, ev, lg = _batch(
-            _event_loop, dyn, state, origin_idx, q, t, t_max, mode, dts, picks, coins
-        )
-        events += ev
-        legal += lg
-        if status != _STATUS_EXHAUSTED:
-            return status, t, events, legal
-        batch = min(_BATCH, batch * 4)
+) -> Tuple[bool, float, int, int]:
+    """Drive the event loop from clock ``t0`` until a stop condition, in one
+    call that draws each random from ``rng`` as it is used; returns (hit, t,
+    events, legal)."""
+    if _event_loop is _event_loop_lists:
+        return _event_loop_lists(state, dyn.site_rules, origin_idx, q, t0, t_max, mode, rng)
+    clock = ctypes.c_double(t0)
+    counts = (ctypes.c_int64 * 2)()
+    hit = _event_loop(_ptr(state), *dyn.table_ptrs, dyn.n, origin_idx, q, t_max, mode,
+                      _capsule_pointer(rng.bit_generator.capsule, b"BitGenerator"),
+                      clock, counts)
+    return bool(hit), clock.value, counts[0], counts[1]
 
 
 def make_dynamics(params: SimParams) -> Dynamics:
     return Dynamics(params.family, params.region, params.boundary)
 
 
-def _hitting(params: SimParams, dyn: Optional[Dynamics], mode: int) -> HittingResult:
-    """One trial from a stationary start, stopped by ``mode`` or at t_max."""
+def _hitting(
+    params: SimParams, dyn: Optional[Dynamics], mode: int, trial: int
+) -> HittingResult:
+    """Trial ``trial`` from a stationary start, stopped by ``mode`` or at
+    t_max; its stream is ``derive_rng(params.seed, trial)``."""
     if dyn is None:
         dyn = make_dynamics(params)
-    rng = derive_rng(params.seed, params.trial)
+    rng = derive_rng(params.seed, trial)
     state = dyn.sample_state(params.q, rng)
     origin_idx = dyn.index[(0, 0)]
     if mode == MODE_TAU0 and state[origin_idx] == 0:
         return HittingResult(0.0, False, 0, 0)
-    status, t, events, legal = _run(dyn, state, params.q, params.t_max, mode, rng, origin_idx)
-    if status == _STATUS_HIT:
-        return HittingResult(t, False, events, legal)
-    return HittingResult(params.t_max, True, events, legal)
+    hit, t, events, legal = _run(dyn, state, params.q, params.t_max, mode, rng, origin_idx)
+    return HittingResult(t, not hit, events, legal)
 
 
 def simulate_tau0(params: SimParams, dyn: Optional[Dynamics] = None) -> HittingResult:
     """Time of first emptiness at the origin from a stationary start."""
-    return _hitting(params, dyn, MODE_TAU0)
+    return _hitting(params, dyn, MODE_TAU0, params.trial)
 
 
 def simulate_persistence(
     params: SimParams, dyn: Optional[Dynamics] = None
 ) -> HittingResult:
     """Time of the first legal update at the origin from a stationary start."""
-    return _hitting(params, dyn, MODE_PERSISTENCE)
+    return _hitting(params, dyn, MODE_PERSISTENCE, params.trial)
 
 
 def sample_state_at(
@@ -409,7 +431,7 @@ def batch_tau0(
         raise ValueError("trials must be >= 1")
     dyn = make_dynamics(params)
     mode = MODE_PERSISTENCE if persistence else MODE_TAU0
-    results = [_hitting(replace(params, trial=trial), dyn, mode) for trial in range(trials)]
+    results = [_hitting(params, dyn, mode, trial) for trial in range(trials)]
     return results, summarize(results)
 
 

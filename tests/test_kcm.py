@@ -15,6 +15,7 @@ from kcmlab.geometry import (
     Configuration,
     Region,
     boundaries,
+    derive_rng,
 )
 from kcmlab.harness import ExperimentConfig, run_sweep
 from kcmlab.kcm import (
@@ -285,8 +286,6 @@ class TestObservation:
         observe_trajectory(
             params, [0.0], lambda t, s: grabbed.setdefault(t, s.copy()), dyn=dyn
         )
-        from kcmlab.geometry import derive_rng
-
         expected = dyn.sample_state(0.4, derive_rng(8, 0))
         assert np.array_equal(grabbed[0.0], expected)
 
@@ -321,88 +320,130 @@ COMPILED = pytest.mark.skipif(
 WEST = load_family('{"name":"west","rules":[[[1,0]]]}')
 
 
+COMPILED_LOOP = kcm._event_loop
+LOOPS = {"compiled": COMPILED_LOOP, "lists": kcm._event_loop_lists}
+
+
+def _on_loop(monkeypatch, loop, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` on ``loop``, plus the final state of every
+    stream that ``kcm`` derived meanwhile."""
+    made = []
+
+    def capture(*key):
+        rng = derive_rng(*key)
+        made.append(rng)
+        return rng
+
+    monkeypatch.setattr(kcm, "_event_loop", loop)
+    monkeypatch.setattr(kcm, "derive_rng", capture)
+    out = fn(*args, **kwargs)
+    return out, [rng.bit_generator.state for rng in made]
+
+
+def _trial(dyn, q, t_max, mode, seed, trial):
+    """One whole trial of ``kcm._run`` from the stationary start of
+    ``kcm.derive_rng(seed, trial)``, whose stream ``_on_loop`` sees: its
+    result and final state."""
+    rng = kcm.derive_rng(seed, trial)
+    state = dyn.sample_state(q, rng)
+    result = kcm._run(dyn, state, q, t_max, mode, rng, dyn.index[(0, 0)])
+    return result, state.tolist()
+
+
+FAMILIES = {
+    "east1d": (EAST1, east_chain_region(30)),
+    "duarte": (DUARTE, Region.rectangle(-4, 0, -4, 0)),
+    "east2d": (builtin_family("east2d"), Region.rectangle(-3, 0, -3, 0)),
+    "west": (WEST, Region.rectangle(0, 11, 0, 0)),  # origin at the west end: it can flip
+    "one-site": (EAST1, Region([(0, 0)])),  # a site draw with nothing to draw
+}
+
+
 @COMPILED
-@pytest.mark.parametrize(
-    "family,region",
-    [
-        (EAST1, east_chain_region(30)),
-        (DUARTE, Region.rectangle(0, 4, 0, 4)),
-        (builtin_family("east2d"), Region.rectangle(0, 3, 0, 3)),
-        (WEST, east_chain_region(12)),
-    ],
-    ids=["east1d", "duarte", "east2d", "west"],
-)
-def test_compiled_event_loop_matches_list_loop(family, region):
-    """Both event loops return the same status, time, counts and final
-    state on identical pre-drawn randoms, in every mode; some batches hold
-    one ring, and some stop at a ring whose time is exactly t_max."""
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_compiled_event_loop_matches_list_loop(monkeypatch, name):
+    """Whole trials, drawing their own randoms, give the same hit flag,
+    time, ring and legal counts, final state and final generator state on
+    the compiled loop and on the list loop, in the tau0 and persistence
+    modes; some stop at the origin and some at t_max."""
+    family, region = FAMILIES[name]
     dyn = kcm.Dynamics(family, region, frozen_boundary_for(family, region))
-    rng = np.random.default_rng(17)
-    statuses = set()
-    for case in range(150):
-        q = float(rng.uniform(0.05, 0.9))
-        nb = 1 if case % 10 == 0 else int(rng.integers(1, 2000))
-        state = (rng.random(dyn.n) >= q).astype(np.int8)
-        dts = rng.exponential(1.0 / dyn.n, size=nb)
-        picks = rng.integers(0, dyn.n, size=nb)
-        coins = rng.random(nb)
-        t = float(rng.random())
-        if case % 3 == 0:
-            t_max = float(np.cumsum(np.concatenate(([t], dts)))[1 + int(rng.integers(0, nb))])
-        else:
-            t_max = t + float(rng.uniform(0.0, 1.5 * nb / dyn.n))
-        mode = int(rng.integers(0, 3))
-        origin = int(rng.integers(0, dyn.n))
-        a, b = state.copy(), state.copy()
-        args = (origin, q, t, t_max, mode, dts, picks, coins)
-        ra = kcm._batch(kcm._event_loop, dyn, a, *args)
-        rb = kcm._batch(kcm._event_loop_lists, dyn, b, *args)
-        assert tuple(ra) == tuple(rb)
-        assert np.array_equal(a, b)
-        statuses.add(ra[0])
-    assert statuses == {0, 1, 2}
-
-
-@pytest.mark.parametrize("loop", ["compiled", "lists"])
-def test_ring_at_t_max_is_processed(loop):
-    """A ring at exactly t_max happens; the first ring after it stops the
-    batch with the clock at t_max."""
-    if loop == "compiled" and kcm._event_loop is kcm._event_loop_lists:
-        pytest.skip("the compiled event loop could not be built")
-    fn = kcm._event_loop if loop == "compiled" else kcm._event_loop_lists
-    region = east_chain_region(4)
-    dyn = kcm.Dynamics(EAST1, region, frozen_boundary_for(EAST1, region))
-    dts = np.full(6, 0.25)
-    picks = np.zeros(6, dtype=np.int64)  # the free west end: every ring is legal
-    coins = np.zeros(6)
-    state = np.ones(4, dtype=np.int8)
-    status, t, events, legal = kcm._batch(
-        fn, dyn, state, 3, 0.5, 0.0, 1.0, kcm.MODE_RUN, dts, picks, coins
-    )
-    assert (status, t, events, legal) == (kcm._STATUS_TMAX, 1.0, 4, 4)
-    assert state[0] == 0
-    state = np.ones(4, dtype=np.int8)
-    status, t, events, legal = kcm._batch(
-        fn, dyn, state, 3, 0.5, 0.0, 1.5, kcm.MODE_RUN, dts, picks, coins
-    )
-    assert (status, t, events, legal) == (kcm._STATUS_EXHAUSTED, 1.5, 6, 6)
+    hits = set()
+    for trial in range(60):
+        q = (0.15, 0.3, 0.5, 0.8)[trial % 4]
+        t_max = (2.0, 30.0, 400.0)[trial % 3]
+        mode = (kcm.MODE_TAU0, kcm.MODE_PERSISTENCE)[trial % 2]
+        runs = [_on_loop(monkeypatch, loop, _trial, dyn, q, t_max, mode, 19, trial)
+                for loop in LOOPS.values()]
+        assert runs[0] == runs[1]
+        hits.add(runs[0][0][0][0])
+    assert hits == {True, False}
 
 
 @COMPILED
 @pytest.mark.parametrize("persistence", [False, True])
 def test_batch_tau0_same_on_both_loops(monkeypatch, persistence):
-    """Whole trials that span several batches of ``_run`` give the same
-    results on the compiled loop and on the list loop."""
-    region = east_chain_region(20)
-    params = SimParams(
-        EAST1, 0.3, region, frozen_boundary_for(EAST1, region), t_max=300.0, seed=4
-    )
-    compiled, _ = batch_tau0(params, 40, persistence=persistence)
-    monkeypatch.setattr(kcm, "_event_loop", kcm._event_loop_lists)
-    lists, _ = batch_tau0(params, 40, persistence=persistence)
-    assert compiled == lists
-    # batches hold 64, 256, 1024, ... rings: some trial needs three or more
-    assert max(r.events for r in compiled) > 64 + 256
+    """``batch_tau0`` gives the same results, and leaves every trial's
+    stream in the same state, on both loops, for every family."""
+    for family, region in FAMILIES.values():
+        params = SimParams(family, 0.35, region, frozen_boundary_for(family, region),
+                           t_max=50.0, seed=23)
+        runs = [_on_loop(monkeypatch, loop, lambda: batch_tau0(params, 30, persistence)[0])
+                for loop in LOOPS.values()]
+        assert runs[0] == runs[1]
+        assert any(r.events > 0 for r in runs[0][0])
+
+
+@COMPILED
+def test_segments_same_on_both_loops(monkeypatch):
+    """``observe_trajectory`` over many segments, and ``sample_state_at``
+    with and without an initial state, see the same states and leave the
+    stream in the same state on both loops."""
+    region = Region.rectangle(-4, 0, -4, 0)
+    boundary = frozen_boundary_for(DUARTE, region)
+    start = np.ones(25, dtype=np.int8)
+    grid = [0.0, 0.0, 0.3, 1.0, 1.0, 2.5, 4.0, 9.0]
+    for trial in range(10):
+        p = SimParams(DUARTE, 0.3, region, boundary, t_max=10.0, seed=29, trial=trial)
+        runs = []
+        for loop in LOOPS.values():
+            seen = []
+            observed = _on_loop(monkeypatch, loop, observe_trajectory, p, grid,
+                                lambda t, s: seen.append((t, s.tolist())))
+            plain = _on_loop(monkeypatch, loop, sample_state_at, p, 3.0)
+            started = _on_loop(monkeypatch, loop, sample_state_at, p, 3.0,
+                               initial_state=start)
+            runs.append((seen, observed[1], plain[0].tolist(), plain[1],
+                         started[0].tolist(), started[1]))
+        assert runs[0] == runs[1]
+    assert [t for t, _ in seen] == grid
+
+
+@pytest.mark.parametrize("loop", ["compiled", "lists"])
+def test_ring_at_t_max_is_processed(monkeypatch, loop):
+    """A ring at exactly t_max happens: rerun with t_max = tau0, a hitting
+    trial hits at the same ring.  With t_max just below tau0 the trial is
+    censored before that ring, with the clock at t_max."""
+    if loop == "compiled" and COMPILED_LOOP is kcm._event_loop_lists:
+        pytest.skip("the compiled event loop could not be built")
+    monkeypatch.setattr(kcm, "_event_loop", LOOPS[loop])
+    region = east_chain_region(6)
+    boundary = frozen_boundary_for(EAST1, region)
+    hits = 0
+    for trial in range(20):
+        params = SimParams(EAST1, 0.3, region, boundary, t_max=1e4, seed=31, trial=trial)
+        r = simulate_tau0(params)
+        if r.tau0 == 0.0 or r.censored:
+            continue
+        hits += 1
+        at = simulate_tau0(SimParams(EAST1, 0.3, region, boundary, t_max=r.tau0,
+                                     seed=31, trial=trial))
+        assert at == r
+        below = np.nextafter(r.tau0, 0.0)
+        cut = simulate_tau0(SimParams(EAST1, 0.3, region, boundary, t_max=below,
+                                      seed=31, trial=trial))
+        assert cut == kcm.HittingResult(below, True, r.events - 1, r.legal_updates - 1)
+    assert hits >= 5
 
 
 class TestLoopLoader:
@@ -429,12 +470,24 @@ class TestLoopLoader:
         assert len(err) == 1 and "false exited with status 1" in err[0]
         assert list(tmp_path.iterdir()) == []
 
+    def test_missing_numpy_library(self, tmp_path, capsys):
+        missing = tmp_path / "no-numpy-lib"
+        loop = kcm._load_event_loop(("gcc",), str(tmp_path / "cache"), str(missing))
+        assert loop is kcm._event_loop_lists
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert str(missing / "libnpyrandom.a") in err[0]
+        assert not (tmp_path / "cache").exists()
+
+    def test_library_name_keyed_on_numpy_version(self):
+        assert kcm._library_name("2.4.6") != kcm._library_name("2.4.7")
+
     @COMPILED
     def test_cached_library_is_loaded(self, tmp_path, capsys):
         first = kcm._load_event_loop(("gcc",), str(tmp_path))
         built = list(tmp_path.iterdir())
         assert first is not kcm._event_loop_lists
-        assert len(built) == 1 and built[0].name.endswith(".so")
+        assert [b.name for b in built] == [kcm._library_name(np.__version__)]
         # a second load finds the library and never runs the compiler
         second = kcm._load_event_loop(("kcmlab-no-such-cc",), str(tmp_path))
         assert second is not kcm._event_loop_lists
