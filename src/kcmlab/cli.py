@@ -164,7 +164,7 @@ def kcm_run(family, q, box, trials, tmax, seed, persistence, out_path):
         click.echo(text, nl=False)
     click.echo(
         f"# mean={summary.mean:.6g} median={summary.median:.6g} "
-        f"censored={summary.censor_fraction:.3f} backend={backend()}",
+        f"censored={summary.censor_fraction:.3f} events={summary.events} backend={backend()}",
         err=True,
     )
 

@@ -1,11 +1,12 @@
 """Experiment orchestration: q-sweeps, scaling fits, density estimates.
 
 A sweep writes one CSV per q value plus a manifest JSON recording seeds,
-package version, the KCM event-loop backend, wall-clock times and, for a
-failed cell, the error and its exception type; the manifest is written
-last and atomically, so its presence certifies a complete sweep.  Fits
-regress the log of a measured time against a fixed family of predictors
-in q and report every fit, flagging a winner by R².
+package version, the KCM event-loop backend, wall-clock times, each KCM
+cell's event count and event rate and, for a failed cell, the error and
+its exception type; the manifest is written last and atomically, so its
+presence certifies a complete sweep.  Fits regress the log of a measured
+time against a fixed family of predictors in q and report every fit,
+flagging a winner by R².
 """
 
 from __future__ import annotations
@@ -115,6 +116,8 @@ def _write_kcm_csv(path: str, config: ExperimentConfig, q: float) -> Dict[str, o
         "mean": summary.mean,
         "censor_fraction": summary.censor_fraction,
         "standard_error": summary.standard_error,
+        "events": summary.events,
+        "events_per_s": summary.events / summary.seconds,
     }
 
 

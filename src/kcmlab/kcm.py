@@ -2,22 +2,30 @@
 
 Every site carries a rate-1 clock.  At a ring the site resamples to
 occupied with probability p = 1 - q, empty with probability q, but only
-when its constraint holds; constrained rings are no-ops.  This rejection
-scheme realizes the generator exactly because each site's total ring rate
-is 1 regardless of the constraint.  Rings are produced by a single
-aggregate exponential clock plus a uniform site choice, which has the same
-law as per-site clocks by superposition of Poisson processes.
+when its constraint holds (the site is *legal*); a ring of an illegal site
+is a no-op.  So the dynamics is the same in law if the illegal rings are
+dropped: the m legal sites ring at total rate m, and each ring picks one
+of them uniformly.  This is the continuous-time n-fold way of Bortz, Kalos
+and Lebowitz (J. Comput. Phys. 17 (1975) 10).  The engine keeps the legal
+set in one compact array, ``slots[0..m)``, with ``pos[i]`` the index of
+site i in ``slots`` or -1.  It builds ``slots`` by an ascending scan at the
+start of each run.  A site's legality changes only when a site that its
+rules read flips, so after a flip of site j it re-checks the dependents of
+j (``Dynamics.site_deps``, in table order): a site that became legal is
+appended to ``slots``, and one that became illegal is swap-removed with
+the last slot.  Every ring is a legal update, so a trial's ``events`` and
+``legal_updates`` are equal.  With no legal site (m = 0) the state is
+frozen, and the run stops at once at ``t_max`` without a draw.
 
 Each trial draws its randoms from its own PCG64 stream, one per use, in
 this order per ring: the waiting time, ``random_standard_exponential``
-times 1/n; if the ring falls past ``t_max``, nothing more, and the clock
-stops at ``t_max``; else the site, ``random_bounded_uint64`` on [0, n-1];
-and, only if the ring is legal, the coin, ``next_double``.  The event loop
-that draws them is a small C function, ``_C_SOURCE``, called through
-``ctypes`` once per trial (once per segment in ``observe_trajectory``) on
-the flat tables ``Dynamics.site_ptr``, ``rule_ptr`` and ``neighbors`` and
-on the generator's ``bitgen_t``.  It draws through numpy's own
-distribution code, linked in statically from numpy's
+times 1/m; if the ring falls past ``t_max``, nothing more, and the clock
+stops at ``t_max``; else the slot, ``random_bounded_uint64`` on [0, m-1];
+and the coin, ``next_double``.  The event loop that draws them is a small
+C function, ``_C_SOURCE``, called through ``ctypes`` once per trial (once
+per segment in ``observe_trajectory``) on the flat tables of ``Dynamics``
+(``table_ptrs``) and on the generator's ``bitgen_t``.  It draws through
+numpy's own distribution code, linked in statically from numpy's
 ``random/lib/libnpyrandom.a``.  It is built on first import with the
 system ``gcc -O2 -shared -fPIC ... -lnpyrandom -lm`` into
 ``$XDG_CACHE_HOME/kcmlab`` (else ``~/.cache/kcmlab``), under a name keyed
@@ -27,9 +35,9 @@ and later imports only load it.  If the compiler or numpy's library is
 missing, the build fails or the cache is not writable, one line on stderr
 says why and the pure-Python ``_event_loop_lists`` runs instead.
 ``_event_loop`` is whichever of the two runs.  The list loop reads the
-per-site rule tuples of ``families.compile_rules`` and makes the same
-draws through ``Generator`` scalar calls (``standard_exponential``,
-``integers(0, n)``, ``random``), which give the same numbers and leave the
+per-site tuples ``site_rules`` and ``site_deps`` and makes the same draws
+through ``Generator`` scalar calls (``standard_exponential``,
+``integers(0, m)``, ``random``), which give the same numbers and leave the
 generator in the same state; so outputs do not depend on which loop ran,
 and the list loop is the compiled loop's test oracle.
 """
@@ -43,6 +51,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -90,9 +99,11 @@ class Dynamics:
     """Per-site constraint tables for one (family, region, exterior).
 
     ``site_rules[i]`` holds one tuple of neighbour indices per live rule of
-    site i (see ``families.compile_rules``); ``site_ptr``, ``rule_ptr`` and
-    ``neighbors`` hold the same tables as flat arrays, and ``table_ptrs``
-    their addresses, for the compiled event loop.
+    site i (see ``families.compile_rules``), and ``site_deps[j]`` the sites
+    whose rules read site j, ascending.  ``site_ptr``, ``rule_ptr`` and ``neighbors``, and
+    ``dep_ptr`` and ``dependents``, hold the same tables as flat arrays for
+    the compiled event loop; ``slots`` and ``pos`` are its workspace for the
+    legal set, and ``table_ptrs`` the addresses of all seven.
     """
 
     def __init__(self, family: UpdateFamily, region: Region, exterior=ALL_HEALTHY):
@@ -109,7 +120,21 @@ class Dynamics:
         self.neighbors = np.fromiter(
             (j for rule in rules for j in rule), dtype=np.int64, count=int(self.rule_ptr[-1])
         )
-        self.table_ptrs = tuple(a.ctypes.data for a in (self.site_ptr, self.rule_ptr, self.neighbors))
+        deps = [[] for _ in self.sites]
+        for i, site in enumerate(self.site_rules):
+            for j in {j for rule in site for j in rule}:
+                deps[j].append(i)
+        self.site_deps = tuple(map(tuple, deps))
+        self.dep_ptr = np.cumsum([0] + [len(d) for d in deps], dtype=np.int64)
+        self.dependents = np.fromiter(
+            (i for d in deps for i in d), dtype=np.int64, count=int(self.dep_ptr[-1])
+        )
+        self.slots = np.empty(self.n, dtype=np.int64)
+        self.pos = np.empty(self.n, dtype=np.int64)
+        self.table_ptrs = tuple(a.ctypes.data for a in (
+            self.site_ptr, self.rule_ptr, self.neighbors, self.dep_ptr, self.dependents,
+            self.slots, self.pos,
+        ))
 
     def sample_state(self, q: float, rng: np.random.Generator) -> np.ndarray:
         """Stationary product start: occupied with probability 1 - q."""
@@ -121,43 +146,58 @@ MODE_PERSISTENCE = 1
 MODE_RUN = 2
 
 
-def _event_loop_lists(state, site_rules, origin, q, t, t_max, mode, rng):
-    """Run from clock ``t`` until ``mode`` stops the run at the origin or the
-    next ring falls past ``t_max``, drawing from ``rng`` in the order of the
-    module docstring; returns (hit, t, events, legal).  A legal ring sets
-    the site empty if its coin is below ``q``."""
-    n = len(site_rules)
-    rate = 1.0 / n
+def _event_loop_lists(state, site_rules, site_deps, origin, q, t, t_max, mode, rng):
+    """Run from clock ``t`` until ``mode`` stops the run at the origin, no
+    site is legal or the next ring falls past ``t_max``, drawing from
+    ``rng`` in the order of the module docstring; returns (hit, t, events).
+    A ring sets the site empty if its coin is below ``q``."""
     exponential, integers, uniform = rng.standard_exponential, rng.integers, rng.random
     st = state.tolist()
-    stop_at_update = mode == MODE_PERSISTENCE
-    stop_at_empty = mode == MODE_TAU0
-    events = legal = 0
-    hit = False
-    while True:
-        dt = exponential() * rate
-        if t + dt > t_max:
-            t = t_max
-            break
-        t += dt
-        events += 1
-        i = int(integers(0, n))
+
+    def legal_at(i):
         for rule in site_rules[i]:
             for j in rule:
                 if st[j]:
                     break
             else:
-                break
-        else:
-            continue
-        legal += 1
+                return True
+        return False
+
+    slots = [i for i in range(len(st)) if legal_at(i)]
+    pos = [-1] * len(st)
+    for k, i in enumerate(slots):
+        pos[i] = k
+    stop_at_update = mode == MODE_PERSISTENCE
+    stop_at_empty = mode == MODE_TAU0
+    events = 0
+    hit = False
+    while slots:
+        dt = exponential() * (1.0 / len(slots))
+        if t + dt > t_max:
+            break
+        t += dt
+        events += 1
+        i = slots[int(integers(0, len(slots)))]
         v = int(uniform() >= q)
-        st[i] = v
+        if v != st[i]:
+            st[i] = v
+            for d in site_deps[i]:
+                k = pos[d]
+                if legal_at(d):
+                    if k < 0:
+                        pos[d] = len(slots)
+                        slots.append(d)
+                elif k >= 0:
+                    last = slots.pop()
+                    if last != d:
+                        slots[k] = last
+                        pos[last] = k
+                    pos[d] = -1
         if i == origin and (stop_at_update or (stop_at_empty and v == 0)):
             hit = True
             break
     state[:] = st
-    return hit, t, events, legal
+    return hit, (t if hit else t_max), events
 
 
 _C_SOURCE = r"""
@@ -177,45 +217,74 @@ double random_standard_exponential(bitgen_t *bitgen_state);
 uint64_t random_bounded_uint64(bitgen_t *bitgen_state, uint64_t off, uint64_t rng,
                                uint64_t mask, bool use_masked);
 
-/* _event_loop_lists on the flat tables of Dynamics, drawing from g: clock
-   holds t on entry and the stop time on return, counts receives (events,
-   legal), and 1 is returned if the origin stopped the run.  Mode 0 is
-   MODE_TAU0 and 1 MODE_PERSISTENCE. */
-int kcm_event_loop(int8_t *state, const int64_t *site_ptr, const int64_t *rule_ptr,
-                   const int64_t *neighbors, int64_t n, int64_t origin, double q,
-                   double t_max, int mode, bitgen_t *g, double *clock, int64_t *counts)
+/* Whether some rule of site i reads only empty sites. */
+static int legal_at(const int8_t *state, const int64_t *site_ptr, const int64_t *rule_ptr,
+                    const int64_t *neighbors, int64_t i)
 {
-    double t = *clock, rate = 1.0 / n;
-    int64_t events = 0, legal = 0, r, j;
+    int64_t r, j;
+    for (r = site_ptr[i]; r < site_ptr[i + 1]; r++) {
+        for (j = rule_ptr[r]; j < rule_ptr[r + 1] && !state[neighbors[j]]; j++)
+            ;
+        if (j == rule_ptr[r + 1])
+            return 1;
+    }
+    return 0;
+}
+
+/* _event_loop_lists on the flat tables of Dynamics, drawing from g, with
+   the legal set in slots[0..m) and pos: clock holds t on entry and the
+   stop time on return, events receives the ring count, and 1 is returned
+   if the origin stopped the run.  Mode 0 is MODE_TAU0 and 1
+   MODE_PERSISTENCE. */
+int kcm_event_loop(int8_t *state, const int64_t *site_ptr, const int64_t *rule_ptr,
+                   const int64_t *neighbors, const int64_t *dep_ptr,
+                   const int64_t *dependents, int64_t *slots, int64_t *pos, int64_t n,
+                   int64_t origin, double q, double t_max, int mode, bitgen_t *g,
+                   double *clock, int64_t *events)
+{
+    double t = *clock;
+    int64_t m = 0, rings = 0, i, k;
     int hit = 0;
-    for (;;) {
-        double dt = random_standard_exponential(g) * rate;
-        int64_t i;
-        int ok = 0;
-        if (t + dt > t_max) {
-            t = t_max;
+    for (i = 0; i < n; i++) {
+        pos[i] = -1;
+        if (legal_at(state, site_ptr, rule_ptr, neighbors, i)) {
+            pos[i] = m;
+            slots[m++] = i;
+        }
+    }
+    while (m > 0) {
+        double dt = random_standard_exponential(g) * (1.0 / m);
+        int8_t v;
+        if (t + dt > t_max)
             break;
-        }
         t += dt;
-        events++;
-        i = (int64_t)random_bounded_uint64(g, 0, n - 1, 0, 0);
-        for (r = site_ptr[i]; r < site_ptr[i + 1] && !ok; r++) {
-            ok = 1;
-            for (j = rule_ptr[r]; j < rule_ptr[r + 1] && ok; j++)
-                ok = !state[neighbors[j]];
+        rings++;
+        i = slots[random_bounded_uint64(g, 0, m - 1, 0, 0)];
+        v = g->next_double(g->state) >= q;
+        if (v != state[i]) {
+            state[i] = v;
+            for (k = dep_ptr[i]; k < dep_ptr[i + 1]; k++) {
+                int64_t d = dependents[k], at = pos[d];
+                if (legal_at(state, site_ptr, rule_ptr, neighbors, d)) {
+                    if (at < 0) {
+                        pos[d] = m;
+                        slots[m++] = d;
+                    }
+                } else if (at >= 0) {
+                    int64_t last = slots[--m];
+                    slots[at] = last;
+                    pos[last] = at;
+                    pos[d] = -1;
+                }
+            }
         }
-        if (!ok)
-            continue;
-        legal++;
-        state[i] = g->next_double(g->state) >= q;
-        if (i == origin && (mode == 1 || (mode == 0 && !state[i]))) {
+        if (i == origin && (mode == 1 || (mode == 0 && !v))) {
             hit = 1;
             break;
         }
     }
-    *clock = t;
-    counts[0] = events;
-    counts[1] = legal;
+    *clock = hit ? t : t_max;
+    *events = rings;
     return hit;
 }
 """
@@ -283,9 +352,9 @@ def _load_event_loop(
               file=sys.stderr)
         return _event_loop_lists
     ptr = ctypes.c_void_p
-    loop.argtypes = [ptr, ptr, ptr, ptr, ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
-                     ctypes.c_double, ctypes.c_int, ptr,
-                     ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)]
+    loop.argtypes = [ptr] * 8 + [ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
+                                 ctypes.c_double, ctypes.c_int, ptr,
+                                 ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)]
     loop.restype = ctypes.c_int
     return loop
 
@@ -318,18 +387,19 @@ def _run(
     rng: np.random.Generator,
     origin_idx: int = 0,
     t0: float = 0.0,
-) -> Tuple[bool, float, int, int]:
+) -> Tuple[bool, float, int]:
     """Drive the event loop from clock ``t0`` until a stop condition, in one
     call that draws each random from ``rng`` as it is used; returns (hit, t,
-    events, legal)."""
+    events)."""
     if _event_loop is _event_loop_lists:
-        return _event_loop_lists(state, dyn.site_rules, origin_idx, q, t0, t_max, mode, rng)
+        return _event_loop_lists(state, dyn.site_rules, dyn.site_deps, origin_idx, q, t0,
+                                 t_max, mode, rng)
     clock = ctypes.c_double(t0)
-    counts = (ctypes.c_int64 * 2)()
+    events = ctypes.c_int64()
     hit = _event_loop(_ptr(state), *dyn.table_ptrs, dyn.n, origin_idx, q, t_max, mode,
                       _capsule_pointer(rng.bit_generator.capsule, b"BitGenerator"),
-                      clock, counts)
-    return bool(hit), clock.value, counts[0], counts[1]
+                      clock, events)
+    return bool(hit), clock.value, events.value
 
 
 def make_dynamics(params: SimParams) -> Dynamics:
@@ -348,8 +418,8 @@ def _hitting(
     origin_idx = dyn.index[(0, 0)]
     if mode == MODE_TAU0 and state[origin_idx] == 0:
         return HittingResult(0.0, False, 0, 0)
-    hit, t, events, legal = _run(dyn, state, params.q, params.t_max, mode, rng, origin_idx)
-    return HittingResult(t, not hit, events, legal)
+    hit, t, events = _run(dyn, state, params.q, params.t_max, mode, rng, origin_idx)
+    return HittingResult(t, not hit, events, events)
 
 
 def simulate_tau0(params: SimParams, dyn: Optional[Dynamics] = None) -> HittingResult:
@@ -408,7 +478,7 @@ def observe_trajectory(
     for t_obs in time_grid:
         if t_obs < t:
             raise ValueError("time grid must be nondecreasing")
-        _, t, _, _ = _run(dyn, state, params.q, t_obs, MODE_RUN, rng, 0, t0=t)
+        _, t, _ = _run(dyn, state, params.q, t_obs, MODE_RUN, rng, 0, t0=t)
         observer(t_obs, state)
 
 
@@ -418,6 +488,8 @@ class BatchSummary:
     median: float
     censor_fraction: float
     standard_error: float
+    events: int
+    seconds: float = 0.0  # wall time of the trials, when batch_tau0 ran them
 
 
 def batch_tau0(
@@ -426,16 +498,18 @@ def batch_tau0(
     persistence: bool = False,
 ) -> Tuple[List[HittingResult], BatchSummary]:
     """Independent trials with per-trial streams derived from (seed, trial);
-    output order is trial order."""
+    output order is trial order.  The summary counts the trials' events and
+    their wall time."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     dyn = make_dynamics(params)
     mode = MODE_PERSISTENCE if persistence else MODE_TAU0
+    start = time.perf_counter()
     results = [_hitting(params, dyn, mode, trial) for trial in range(trials)]
-    return results, summarize(results)
+    return results, summarize(results, time.perf_counter() - start)
 
 
-def summarize(results: List[HittingResult]) -> BatchSummary:
+def summarize(results: List[HittingResult], seconds: float = 0.0) -> BatchSummary:
     vals = [r.tau0 for r in results if not r.censored]
     n_cens = sum(1 for r in results if r.censored)
     times = sorted(
@@ -457,6 +531,8 @@ def summarize(results: List[HittingResult]) -> BatchSummary:
         median=float(median),
         censor_fraction=n_cens / len(results),
         standard_error=se,
+        events=sum(r.events for r in results),
+        seconds=seconds,
     )
 
 

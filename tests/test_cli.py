@@ -119,6 +119,8 @@ class TestKcmRun:
         float(row[3])  # tau0 parses
         summary = result.stderr.strip().splitlines()[-1]
         assert "median=" in summary
+        events = sum(int(line.split(",")[5]) for line in lines[2:])
+        assert f" events={events} " in summary
         assert summary.endswith(f"backend={kcm.backend()}")
 
     def test_backend_names_the_fallback(self, runner, monkeypatch):

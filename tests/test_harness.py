@@ -58,6 +58,9 @@ class TestSweep:
             assert lines[0] == csv_header_comment(1)
             assert lines[1] == "trial,seed,q,tau0,censored,events,legal_updates"
             assert len(lines) == 2 + 20
+            events = sum(int(row.split(",")[5]) for row in lines[2:])
+            assert cell["summary"]["events"] == events > 0
+            assert cell["summary"]["events_per_s"] > 0
         assert manifest["backend"] == kcm.backend()
         assert manifest["backend"] in ("c", "python")
         on_disk = json.loads((tmp_path / "manifest.json").read_text())

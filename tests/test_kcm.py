@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from kcmlab import kcm
-from kcmlab.exact import _constraint_bit, _site_masks, build_generator
+from kcmlab.exact import _constraint_bit, _site_masks, build_generator, mean_hitting
 from kcmlab.families import builtin_family, compile_rules, constraint_satisfied, load_family
 from kcmlab.geometry import (
     ALL_HEALTHY,
@@ -184,8 +185,9 @@ class TestPathwiseRelations:
             EAST1, 0.4, region, frozen_boundary_for(EAST1, region), t_max=50.0, seed=13
         )
         results, _ = batch_tau0(params, trials=100)
+        assert any(r.events > 0 for r in results)
         for r in results:
-            assert 0 <= r.legal_updates <= r.events
+            assert r.events == r.legal_updates
 
 
 class TestStationarity:
@@ -233,6 +235,43 @@ class TestAgainstMatrixExponential:
                 if state[i] == 0:
                     idx |= 1 << i
             counts[idx] += 1
+        tv = 0.5 * np.abs(counts / trials - exact_law).sum()
+        assert tv < 0.02
+
+
+class TestDuarteLaw:
+    """The engine against the exact chain on a 3x3 Duarte box with its
+    frozen boundary (512 states)."""
+
+    REGION = Region.rectangle(-2, 0, -2, 0)
+    BOUNDARY = frozen_boundary_for(DUARTE, REGION)
+    Q = 0.3
+
+    def test_mean_hitting_time_matches_exact(self):
+        gen = build_generator(DUARTE, self.REGION, self.Q, exterior=self.BOUNDARY)
+        exact = mean_hitting(gen)["e_mu_tau0"]
+        params = SimParams(DUARTE, self.Q, self.REGION, self.BOUNDARY, t_max=1e7, seed=1507)
+        _, summary = batch_tau0(params, trials=10_000)
+        assert summary.censor_fraction == 0.0
+        assert abs(summary.mean - exact) < 3 * summary.standard_error
+
+    def test_transient_law_matches_exact_semigroup(self):
+        # from all occupied; at this time and trial count the total
+        # variation distance of the empirical law has mean about 0.01
+        t_obs = 2.0
+        gen = build_generator(DUARTE, self.REGION, self.Q, exterior=self.BOUNDARY)
+        exact_law = expm(gen.L.toarray() * t_obs)[0]
+        params = SimParams(DUARTE, self.Q, self.REGION, self.BOUNDARY, t_max=t_obs, seed=1508)
+        dyn = make_dynamics(params)
+        assert tuple(dyn.sites) == gen.sites
+        weights = 1 << np.arange(dyn.n)
+        start = np.ones(dyn.n, dtype=np.int8)
+        trials = 40_000
+        counts = np.zeros(len(exact_law))
+        for trial in range(trials):
+            state = sample_state_at(replace(params, trial=trial), t_obs, dyn=dyn,
+                                    initial_state=start)
+            counts[int(weights[state == 0].sum())] += 1
         tv = 0.5 * np.abs(counts / trials - exact_law).sum()
         assert tv < 0.02
 
@@ -359,6 +398,18 @@ FAMILIES = {
 }
 
 
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_dependents_reverse_the_rules(name):
+    """Site i is a dependent of site j exactly when a rule of i reads j, in
+    the tuples and in the flat table, and in ascending order."""
+    family, region = FAMILIES[name]
+    dyn = kcm.Dynamics(family, region, frozen_boundary_for(family, region))
+    for j in range(dyn.n):
+        want = tuple(i for i in range(dyn.n) if any(j in rule for rule in dyn.site_rules[i]))
+        assert dyn.site_deps[j] == want
+        assert dyn.dependents[dyn.dep_ptr[j]:dyn.dep_ptr[j + 1]].tolist() == list(want)
+
+
 @COMPILED
 @pytest.mark.parametrize("name", list(FAMILIES))
 def test_compiled_event_loop_matches_list_loop(monkeypatch, name):
@@ -417,6 +468,37 @@ def test_segments_same_on_both_loops(monkeypatch):
                          started[0].tolist(), started[1]))
         assert runs[0] == runs[1]
     assert [t for t, _ in seen] == grid
+
+
+@pytest.mark.parametrize("loop", ["compiled", "lists"])
+def test_frozen_state_stops_at_once(monkeypatch, loop):
+    """With no legal site the run stops at t_max with no ring and no draw:
+    a lone site under a healthy exterior, and the all-occupied state of a
+    family that reads only the east neighbour, whose east end reads the
+    healthy exterior beyond the frame."""
+    if loop == "compiled" and COMPILED_LOOP is kcm._event_loop_lists:
+        pytest.skip("the compiled event loop could not be built")
+    lone = Region([(0, 0)])
+    frozen = 0
+    for trial in range(20):
+        params = SimParams(EAST1, 0.3, lone, ALL_HEALTHY, t_max=1e9, seed=41, trial=trial)
+        result, streams = _on_loop(monkeypatch, LOOPS[loop], simulate_tau0, params)
+        if result.tau0 == 0.0:
+            continue
+        frozen += 1
+        assert result == kcm.HittingResult(1e9, True, 0, 0)
+        rng = derive_rng(41, trial)
+        make_dynamics(params).sample_state(0.3, rng)
+        assert streams == [rng.bit_generator.state]
+    assert frozen >= 5
+
+    box = Region.corner(4, 1)
+    params = SimParams(WEST, 0.3, box, frozen_boundary_for(WEST, box), seed=42)
+    start = np.ones(4, dtype=np.int8)
+    state, streams = _on_loop(monkeypatch, LOOPS[loop], sample_state_at, params, 1e9,
+                              initial_state=start)
+    assert state.tolist() == [1, 1, 1, 1]
+    assert streams == [derive_rng(42, 0).bit_generator.state]
 
 
 @pytest.mark.parametrize("loop", ["compiled", "lists"])
