@@ -11,10 +11,10 @@ import click
 from . import __version__
 from .bootstrap import closure_free, median_bootstrap_time
 from .directions import stable_directions
-from .droplets import ColumnGeometry, event_B1, event_B2, run_droplet_algorithm
+from .droplets import ColumnGeometry, column_masks, event_B1, event_B2, run_droplet_algorithm
 from .exact import an_reachability, east_barrier
 from .families import load_family
-from .geometry import Configuration, Region, Site, derive_rng, sample_bernoulli
+from .geometry import Region, Site, derive_rng, sample_occupation
 from .harness import (
     ExperimentConfig,
     exact_region_report,
@@ -217,11 +217,12 @@ def duarte_phi(q, n_columns, ell, n1, n2, seed, input_path):
         bad = empties - geometry.region.sites
         if bad:
             raise click.ClickException(f"{len(bad)} input sites outside V")
-        omega = Configuration(geometry.region, empties)
+        state = [int(s not in empties) for s in sorted(geometry.region.sites)]
     else:
-        omega = sample_bernoulli(geometry.region, q, derive_rng(seed, 0))
-    profile = run_droplet_algorithm(omega, geometry, ell)
-    witness = event_B2(omega, profile, geometry, n2)
+        state = sample_occupation(geometry.region, q, derive_rng(seed, 0))
+    masks = column_masks(geometry, state)
+    profile = run_droplet_algorithm(masks, geometry, ell)
+    witness = event_B2(masks, profile, geometry, n2)
     out = {
         "phi": profile.phi_string(),
         "droplets": [

@@ -9,11 +9,13 @@ columns (the droplet) and moves on; its cut xi_k is tested by a closure on
 V_{xi,k} with a healthy west wall.  Coarse-graining the arrows over blocks
 yields the 0/1 profiles whose East-like paths are validated here.
 
-The pass's whole state is a list of column masks: one Python int per
-column, one bit per site, caps included (a set cap bit is an empty cap).
-Healing a column sets its int to 0.  The pass and the crossing event B2
-close a window by a single west-to-east sweep with a 1-D bit fixed point
-per column (the Duarte rules never look east).
+A configuration enters as a 0/1 state vector over sorted(V), the order of
+``Dynamics.sites``; ``column_masks`` turns it into the column masks that
+the pass and the crossing event B2 read: one Python int per column, one
+bit per site, caps included (a set bit is an empty site).  The pass heals
+a column by setting its int to 0.  Both close a window by a single
+west-to-east sweep with a 1-D bit fixed point per column (the Duarte
+rules never look east).
 ``bootstrap.closure_region`` is the general engine and the tests' oracle.
 """
 
@@ -34,16 +36,16 @@ from .families import builtin_family
 from .geometry import (
     BoundaryCondition,
     BoundaryExterior,
-    Configuration,
     Region,
     Site,
     derive_rng,
-    sample_bernoulli,
+    sample_occupation,
 )
 from .kcm import SimParams, make_dynamics, observe_trajectory
 
 UP = "U"
 DOWN = "D"
+MAX_SITES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -112,12 +114,16 @@ class ColumnGeometry:
     """Columns C_i = {(i, j) : |j| < N^2 - (i-1)N} - N e1, i = 1..N.
 
     Heights strictly decrease in i; the origin is the midpoint of the last
-    column.  C̄_i adds the two vertical cap sites of column i.
+    column.  C̄_i adds the two vertical cap sites of column i.  V holds
+    N^3 + N^2 - N sites, at most MAX_SITES (N <= 160); each takes ~0.35 kB.
     """
 
     def __init__(self, N: int):
         if N < 1:
             raise ValueError("N must be >= 1")
+        n_sites = N ** 3 + N ** 2 - N
+        if n_sites > MAX_SITES:
+            raise ValueError(f"N = {N} columns hold {n_sites} sites, above the limit of {MAX_SITES}")
         self.N = N
         self.columns: Dict[int, FrozenSet[Site]] = {}
         for i in range(1, N + 1):
@@ -171,14 +177,20 @@ class ArrowProfile:
 _DUARTE = builtin_family("duarte")
 
 
-def _column_masks(geometry: ColumnGeometry, empties: FrozenSet[Site]) -> List[int]:
-    """Column c's empties as one int at index c - 1: bit y + h_c stands for
-    the site (x_c, y), so bits 0 and 2h_c are its caps, set because the caps
-    start empty."""
-    N = geometry.N
-    masks = [1 | 1 << 2 * geometry.height(c) for c in range(1, N + 1)]
-    for x, y in empties:
-        masks[x + N - 1] |= 1 << (y + N - N * x)  # h_c = N(1 - x_c)
+def column_masks(geometry: ColumnGeometry, state: Sequence[int]) -> List[int]:
+    """Column c's empties as one int at index c - 1, from a 0/1 state vector
+    over ``sorted(geometry.region.sites)``: bit y + h_c stands for the site
+    (x_c, y), so bits 0 and 2h_c are its caps, set because the caps start
+    empty.  That order runs through the columns west to east, each one
+    y-ascending, so column c is one slice of 2h_c - 1 entries."""
+    empty = np.asarray(state) == 0
+    masks = []
+    start = 0
+    for c in range(1, geometry.N + 1):
+        h = geometry.height(c)
+        bits = np.packbits(empty[start : start + 2 * h - 1], bitorder="little")
+        masks.append(int.from_bytes(bits.tobytes(), "little") << 1 | 1 | 1 << 2 * h)
+        start += 2 * h - 1
     return masks
 
 
@@ -234,13 +246,13 @@ def _column_has_long_interval(
 
 
 def run_droplet_algorithm(
-    omega: Configuration,
+    masks: Sequence[int],
     geometry: ColumnGeometry,
     ell: int,
 ) -> ArrowProfile:
     """One deterministic left-to-right pass producing the arrow profile.
 
-    The state is the list of column masks, caps included; an up arrow at
+    The state is a copy of the column masks, caps included; an up arrow at
     column k heals capped columns xi_k..k by setting their masks to 0.
     xi_k is the largest cut xi for which the closure of the current state
     on V_{xi,k}, with a healthy west wall, keeps the long-interval property
@@ -253,9 +265,9 @@ def run_droplet_algorithm(
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    if omega.region != geometry.region:
-        raise ValueError("configuration region does not match the geometry")
-    masks = _column_masks(geometry, omega.empty)
+    if len(masks) != geometry.N:
+        raise ValueError(f"{len(masks)} column masks for a region of {geometry.N} columns")
+    masks = list(masks)
     phi: List[str] = []
     droplets: Dict[int, DropletRecord] = {}
     history = [tuple(masks)]
@@ -289,7 +301,7 @@ def event_B1(profile: ArrowProfile, n: int) -> bool:
 
 
 def event_B2(
-    omega: Configuration,
+    masks: Sequence[int],
     profile: ArrowProfile,
     geometry: ColumnGeometry,
     n: int,
@@ -297,10 +309,9 @@ def event_B2(
     """First (i, j, path) witness of a crossing over down-arrow columns.
 
     Scans i < j with j - i >= n - 1 and all arrows down on [i, j]; for each
-    window the closure of omega's empties inside V_{i,j} is taken with a
-    healthy left wall and empty caps, and searched for a rightward path.
+    window the closure of the masks' empties inside V_{i,j} is taken with
+    a healthy left wall and empty caps, and searched for a rightward path.
     """
-    masks = None  # built at the first window; most monitor calls close none
     for i in range(1, geometry.N + 1):
         if profile.phi[i - 1] == UP:
             continue
@@ -309,8 +320,6 @@ def event_B2(
                 break
             if j - i < n - 1:
                 continue
-            if masks is None:
-                masks = _column_masks(geometry, omega.empty)
             closed = _window_closure(geometry, i, j, masks)
             sites = [
                 (geometry.column_x(c), b - geometry.height(c))
@@ -425,31 +434,7 @@ def monitor_trajectory(
         raise ValueError("sample interval must be positive")
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
-    if t_max == 0:
-        return TrajectoryReport(
-            first_b1=None,
-            first_b2=None,
-            max_n_up=0,
-            max_range=0,
-            samples=0,
-            sample_interval=sample_interval,
-        )
-    geometry = geometry or ColumnGeometry(scales.N)
-    region = geometry.region
-    exterior = BoundaryExterior(geometry.initial_tau())
-    params = SimParams(
-        family=_DUARTE,
-        q=scales.q,
-        region=region,
-        boundary=exterior,
-        t_max=t_max,
-        seed=seed,
-        trial=trial,
-    )
-    if geometry._dynamics is None:
-        geometry._dynamics = make_dynamics(params)
-    dyn = geometry._dynamics
-    grid = list(np.arange(0.0, t_max + 1e-12, sample_interval))
+    grid = list(np.arange(0.0, t_max + 1e-12, sample_interval)) if t_max > 0 else []
     report = TrajectoryReport(
         first_b1=None,
         first_b2=None,
@@ -458,18 +443,32 @@ def monitor_trajectory(
         samples=len(grid),
         sample_interval=sample_interval,
     )
+    if not grid:
+        return report
+    geometry = geometry or ColumnGeometry(scales.N)
+    params = SimParams(
+        family=_DUARTE,
+        q=scales.q,
+        region=geometry.region,
+        boundary=BoundaryExterior(geometry.initial_tau()),
+        t_max=t_max,
+        seed=seed,
+        trial=trial,
+    )
+    if geometry._dynamics is None:
+        geometry._dynamics = make_dynamics(params)
+    dyn = geometry._dynamics
 
     def observer(t: float, state: np.ndarray) -> None:
-        empty = frozenset(dyn.sites[i] for i in np.flatnonzero(state == 0).tolist())
-        omega = Configuration(region, empty, exterior)
-        profile = run_droplet_algorithm(omega, geometry, scales.ell)
+        masks = column_masks(geometry, state)  # dyn.sites is sorted(V)
+        profile = run_droplet_algorithm(masks, geometry, scales.ell)
         report.max_n_up = max(report.max_n_up, profile.n_up)
         ranges = [r.range for r in profile.droplets.values()]
         if ranges:
             report.max_range = max(report.max_range, max(ranges))
         if report.first_b1 is None and event_B1(profile, scales.n1):
             report.first_b1 = t
-        if report.first_b2 is None and event_B2(omega, profile, geometry, scales.n2):
+        if report.first_b2 is None and event_B2(masks, profile, geometry, scales.n2):
             report.first_b2 = t
 
     observe_trajectory(params, grid, observer, dyn=dyn)
@@ -488,8 +487,8 @@ def estimate_uparrow_density(
     geometry = geometry or ColumnGeometry(scales.N)
     hits = 0
     for trial in range(trials):
-        omega = sample_bernoulli(geometry.region, scales.q, derive_rng(seed, trial))
-        profile = run_droplet_algorithm(omega, geometry, scales.ell)
+        state = sample_occupation(geometry.region, scales.q, derive_rng(seed, trial))
+        profile = run_droplet_algorithm(column_masks(geometry, state), geometry, scales.ell)
         if profile.n_up > 0:
             hits += 1
     p_hat = hits / trials

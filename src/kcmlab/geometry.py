@@ -220,11 +220,15 @@ def derive_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, stream)]))
 
 
-def sample_bernoulli(region: Region, q: float, rng: np.random.Generator) -> Configuration:
-    """Product measure: each site independently empty with probability q."""
+def sample_occupation(region: Region, q: float, rng: np.random.Generator) -> np.ndarray:
+    """Product measure as a 0/1 vector over ``sorted(region.sites)``: each
+    site independently empty (0) with probability q."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0,1], got {q}")
-    sites = sorted(region.sites)
-    draws = rng.random(len(sites))
-    empty = frozenset(s for s, u in zip(sites, draws) if u < q)
-    return Configuration(region, empty)
+    return (rng.random(len(region)) >= q).astype(np.int8)
+
+
+def sample_bernoulli(region: Region, q: float, rng: np.random.Generator) -> Configuration:
+    """Product measure: each site independently empty with probability q."""
+    state = sample_occupation(region, q, rng)
+    return Configuration(region, (s for s, v in zip(sorted(region.sites), state.tolist()) if v == 0))

@@ -48,6 +48,7 @@ import ctypes
 import hashlib
 import math
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -512,14 +513,7 @@ def batch_tau0(
 def summarize(results: List[HittingResult], seconds: float = 0.0) -> BatchSummary:
     vals = [r.tau0 for r in results if not r.censored]
     n_cens = sum(1 for r in results if r.censored)
-    times = sorted(
-        (math.inf if r.censored else r.tau0) for r in results
-    )
-    median = times[(len(times) - 1) // 2] if len(times) % 2 else (
-        math.inf
-        if math.isinf(times[len(times) // 2])
-        else 0.5 * (times[len(times) // 2 - 1] + times[len(times) // 2])
-    )
+    median = statistics.median(math.inf if r.censored else r.tau0 for r in results)
     if vals:
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0

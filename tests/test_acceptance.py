@@ -40,12 +40,12 @@ from kcmlab.exact import (
     spectral_gap,
 )
 from kcmlab.families import UpdateFamily, builtin_family
-from kcmlab.geometry import BoundaryCondition, Configuration, Region
+from kcmlab.geometry import BoundaryCondition, Region
 from kcmlab.harness import ExperimentConfig, fit_scaling, medians_from_manifest, run_sweep
 from kcmlab.kcm import SimParams, batch_tau0, east_chain_region, frozen_boundary_for
 
 from conftest import random_family, random_seed_set, random_tau
-from test_droplets import one_step_unconstrained, profile_of
+from test_droplets import masks_of, one_step_unconstrained, profile_of
 from test_exact import brute_force_reachability
 
 DUARTE = builtin_family("duarte")
@@ -275,8 +275,7 @@ def test_06_droplet_lemmas_toy_scale(rng):
         if not ranges or max(ranges) < 2:
             continue
         qualifying_r += 1
-        omega = Configuration(g.region, empties)
-        assert event_B2(omega, p, g, 2) is not None
+        assert event_B2(masks_of(g, empties), p, g, 2) is not None
     assert qualifying_r >= 20
     print(f"\n[PASS] 6 droplet lemmas: disjointness+restriction 200/200, "
           f"motion (a) 500 flips, motion (b) {qualifying_b} qualifying, "

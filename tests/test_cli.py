@@ -191,7 +191,9 @@ class TestOutOfRangeInput:
          "q=1.5 outside (0,1)"),
         (["duarte-phi", "--n-columns", "3", "--ell", "2", "--q", "1.5"],
          "q must lie in [0,1]"),
-    ], ids=["kcm-run", "bootstrap-time", "sweep", "duarte-phi"])
+        (["duarte-phi", "--n-columns", "300", "--ell", "2"],
+         "N = 300 columns hold 27089700 sites, above the limit of 4194304"),
+    ], ids=["kcm-run", "bootstrap-time", "sweep", "duarte-phi", "duarte-phi-oversized"])
     def test_one_line_error(self, runner, tmp_path, args, message):
         with runner.isolated_filesystem(temp_dir=tmp_path):
             result = runner.invoke(main, args)

@@ -12,10 +12,10 @@ from kcmlab.droplets import (
     ColumnGeometry,
     DuarteScales,
     _column_has_long_interval,
-    _column_masks,
     _window_closure,
     check_droplet_disjointness,
     check_restriction_identity,
+    column_masks,
     estimate_uparrow_density,
     eta_project,
     event_B1,
@@ -25,15 +25,19 @@ from kcmlab.droplets import (
     validate_coarse_path,
 )
 from kcmlab.families import builtin_family
-from kcmlab.geometry import BoundaryCondition, BoundaryExterior, Configuration, outer_boundary
+from kcmlab.geometry import BoundaryCondition, BoundaryExterior, outer_boundary
 from kcmlab.kcm import SimParams, make_dynamics, observe_trajectory
 
 DUARTE = builtin_family("duarte")
 
 
+def masks_of(geometry, empties):
+    """The column masks of a set of empties, through its 0/1 state vector."""
+    return column_masks(geometry, [int(s not in empties) for s in sorted(geometry.region.sites)])
+
+
 def profile_of(geometry, empties, ell):
-    omega = Configuration(geometry.region, frozenset(empties))
-    return run_droplet_algorithm(omega, geometry, ell)
+    return run_droplet_algorithm(masks_of(geometry, empties), geometry, ell)
 
 
 def column_caps(geometry, i):
@@ -114,6 +118,12 @@ class TestGeometry:
             # the caps (0, +-h) lie just outside the column's ends
             assert {(0, h - 1), (0, 1 - h)} <= g.columns[N]
             assert not column_caps(g, N) & g.region.sites
+
+    def test_site_count_and_limit(self):
+        for N in (1, 2, 5, 10):
+            assert len(ColumnGeometry(N).region) == N ** 3 + N ** 2 - N
+        with pytest.raises(ValueError, match="4199041 sites"):
+            ColumnGeometry(161)
 
     def test_columns_strictly_shrink(self):
         g = ColumnGeometry(5)
@@ -196,9 +206,8 @@ class TestDropletAlgorithm:
 
     def test_region_mismatch(self):
         g3, g4 = ColumnGeometry(3), ColumnGeometry(4)
-        omega = Configuration(g4.region, frozenset())
         with pytest.raises(ValueError, match="region"):
-            run_droplet_algorithm(omega, g3, 2)
+            run_droplet_algorithm(masks_of(g4, set()), g3, 2)
 
     def test_binary_search_matches_linear_scan(self, rng):
         # each up column's cut is the largest xi that passes the cut test on
@@ -268,6 +277,20 @@ class TestDropletAlgorithm:
             assert a.phi[:k] == b.phi[:k]
 
 
+class TestColumnMasks:
+    def test_equal_encode(self, rng):
+        # the vector converter against the site-by-site encoding of the same
+        # state's empties
+        for N in range(1, 11):
+            g = ColumnGeometry(N)
+            sites = sorted(g.region.sites)
+            tau = g.initial_tau().assignment
+            for q in (0.0, 1.0, *rng.uniform(0.0, 1.0, 8)):
+                state = (rng.random(len(sites)) >= q).astype(np.int8)
+                empties = {s for s, v in zip(sites, state.tolist()) if v == 0}
+                assert column_masks(g, state) == encode(g, empties, tau), (N, q)
+
+
 class TestColumnSweep:
     @staticmethod
     def oracle(g, i, j, empties, tau):
@@ -299,7 +322,6 @@ class TestColumnSweep:
             q = float(rng.uniform(0.0, 0.7))
             empties = frozenset(s for s in sorted(g.region.sites) if rng.random() < q)
             tau = dict(g.initial_tau().assignment)
-            assert _column_masks(g, empties) == encode(g, empties, tau)
             flip = float(rng.random())
             tau.update({c: 1 for c in sorted(tau) if tau[c] == 0 and rng.random() < flip})
             j = int(rng.integers(1, N + 1))
@@ -510,8 +532,8 @@ class TestCrossingEvents:
         empties = {(g.column_x(i), 0) for i in range(1, 5)}
         p = profile_of(g, empties, 3)
         assert p.phi_string() == "DDDD"
-        omega = Configuration(g.region, frozenset(empties))
-        out = event_B2(omega, p, g, 4)
+        masks = masks_of(g, empties)
+        out = event_B2(masks, p, g, 4)
         assert out is not None
         i, j, path = out
         assert (i, j) == (1, 4)
@@ -519,17 +541,16 @@ class TestCrossingEvents:
         assert path[-1] == (g.column_x(4), 0)
         for a, b in zip(path, path[1:]):
             assert (b[0] - a[0], b[1] - a[1]) in {(1, 0), (0, 1), (0, -1)}
-        assert event_B2(omega, p, g, 6) is None
+        assert event_B2(masks, p, g, 6) is None
 
     def test_up_arrows_block_windows(self):
         g = ColumnGeometry(4)
         empties = {(g.column_x(i), 0) for i in range(1, 5)} | set(g.columns[2])
         p = profile_of(g, empties, 2)
         assert p.phi[1] == UP
-        omega = Configuration(g.region, frozenset(empties))
         # windows containing column 2 are skipped; the healing is not applied
-        # to omega for later windows, so only i >= 3 windows remain
-        out = event_B2(omega, p, g, 2)
+        # to the masks for later windows, so only i >= 3 windows remain
+        out = event_B2(masks_of(g, empties), p, g, 2)
         assert out is not None
         assert out[0] >= 3
 
@@ -542,8 +563,7 @@ class TestCrossingEvents:
         p = profile_of(g, empties, 3)
         rec = p.droplets[4]
         assert rec.range == 2
-        omega = Configuration(g.region, empties)
-        out = event_B2(omega, p, g, 2)
+        out = event_B2(masks_of(g, empties), p, g, 2)
         assert out is not None
         i, j, _ = out
         assert j - i >= 1
@@ -569,8 +589,7 @@ class TestCrossingEvents:
             if not ranges or max(ranges) < 2:
                 continue
             found += 1
-            omega = Configuration(g.region, empties)
-            assert event_B2(omega, p, g, 2) is not None
+            assert event_B2(masks_of(g, empties), p, g, 2) is not None
         assert found >= 20
 
 
@@ -648,19 +667,63 @@ class TestTrajectories:
         params = SimParams(DUARTE, 0.5, g.region, BoundaryExterior(g.initial_tau()),
                            t_max=4.0, seed=7)
         dyn = make_dynamics(params)
+        tau = g.initial_tau().assignment
         crossed = []
 
         def observer(t, state):
-            omega = Configuration(g.region, frozenset(
-                s for s, v in zip(dyn.sites, state.tolist()) if v == 0))
-            p = run_droplet_algorithm(omega, g, 50)
+            masks = encode(g, {s for s, v in zip(dyn.sites, state.tolist()) if v == 0}, tau)
+            p = run_droplet_algorithm(masks, g, 50)
             assert p.n_up == 0
-            if event_B2(omega, p, g, 2) is not None:
+            if event_B2(masks, p, g, 2) is not None:
                 crossed.append(t)
 
         observe_trajectory(params, list(np.arange(0.0, 4.0 + 1e-12, 0.5)), observer, dyn=dyn)
         assert crossed and report.first_b2 == crossed[0]
         assert report.first_b1 is None and report.samples == 9
+
+    def test_monitor_matches_set_route(self, monkeypatch):
+        # every state the monitor observes, rebuilt as a set of empties and
+        # taken through the set route (encode, the reference pass, B2 on the
+        # encoded masks), gives the monitor's phi, droplets and B2 witness
+        import kcmlab.droplets as droplets
+
+        observe, run_pass, b2 = (droplets.observe_trajectory,
+                                 droplets.run_droplet_algorithm, droplets.event_B2)
+        seen = []  # per observed state: its empties, profile and B2 witness if B2 ran
+
+        def observe_spy(params, grid, observer, dyn):
+            def spy(t, state):
+                seen.append([{s for s, v in zip(dyn.sites, state.tolist()) if v == 0}])
+                observer(t, state)
+            return observe(params, grid, spy, dyn=dyn)
+
+        def record(f):
+            def call(*args):
+                seen[-1].append(f(*args))
+                return seen[-1][-1]
+            return call
+
+        monkeypatch.setattr(droplets, "observe_trajectory", observe_spy)
+        monkeypatch.setattr(droplets, "run_droplet_algorithm", record(run_pass))
+        monkeypatch.setattr(droplets, "event_B2", record(b2))
+        g = ColumnGeometry(4)
+        scales = DuarteScales.toy(ell=6, N=4, n2=2, q=0.3)
+        for seed in range(8):
+            monitor_trajectory(scales, t_max=3.0, sample_interval=0.25, seed=seed, geometry=g)
+        tau = g.initial_tau().assignment
+        wide = b2_calls = crossings = 0
+        for empties, profile, *witness in seen:
+            masks = encode(g, empties, tau)
+            phi, drops, _ = TestColumnSweep.reference_pass(g, frozenset(empties), scales.ell)
+            assert (profile.phi, profile.droplets) == (phi, drops)
+            assert profile.history[0] == tuple(masks)
+            if witness:
+                assert witness == [b2(masks, profile, g, scales.n2)]
+                b2_calls += 1
+                crossings += witness[0] is not None
+            wide += sum(1 for r in profile.droplets.values() if r.range >= 1)
+        # B2 runs until a trajectory's first crossing, and not after it
+        assert len(seen) == 8 * 13 and wide >= 20 and b2_calls > crossings >= 3
 
     def test_dynamics_built_once_per_geometry(self, monkeypatch):
         import kcmlab.droplets as droplets
