@@ -5,31 +5,25 @@ __version__ = "0.1.0"
 from .geometry import (
     Region,
     BoundaryCondition,
-    Configuration,
     ALL_HEALTHY,
     ALL_INFECTED,
     BoundaryExterior,
     boundaries,
-    sample_bernoulli,
 )
-from .families import UpdateFamily, FamilyError, parse_family, builtin_family, constraint_satisfied
-from .directions import stable_directions, classify_family, StableDirectionReport
+from .families import UpdateFamily, FamilyError, parse_family, builtin_family
+from .directions import stable_directions, StableDirectionReport
 
 __all__ = [
     "Region",
     "BoundaryCondition",
-    "Configuration",
     "ALL_HEALTHY",
     "ALL_INFECTED",
     "BoundaryExterior",
     "boundaries",
-    "sample_bernoulli",
     "UpdateFamily",
     "FamilyError",
     "parse_family",
     "builtin_family",
-    "constraint_satisfied",
     "stable_directions",
-    "classify_family",
     "StableDirectionReport",
 ]

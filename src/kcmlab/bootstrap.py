@@ -1,12 +1,13 @@
 """The monotone bootstrap process: closures, path search, bootstrap times.
 
-Two engines compute the same closure: a synchronous stepper (the defining
-iteration, kept as the oracle) and a generation-layered work queue that only
-re-examines neighbours of newly infected sites.  Both honour finite-volume
-semantics: infection lives on the region plus the zero sites of a fixed
-boundary condition, and everything beyond stays healthy.  The work queue
+One engine computes a closure: a generation-layered work queue that only
+re-examines neighbours of newly infected sites, whose generations are the
+rounds of the synchronous iteration (the tests' oracle).  It honours
+finite-volume semantics: infection lives on the region plus the zero sites
+of a fixed boundary condition, and everything beyond stays healthy.  It
 serves both a finite region (``closure_region``) and the sup-norm box
-around a finite seed in Z^2 (``closure_free``).
+around a finite seed in Z^2 (``closure_free``).  Bootstrap times run on a
+separate boolean grid engine, ``grid_step``.
 """
 
 from __future__ import annotations
@@ -27,32 +28,6 @@ class ClosureResult:
     closed: FrozenSet[Site]
     rounds: int
     touched_cap: bool
-
-
-def synchronous_step(
-    family: UpdateFamily,
-    region: Region,
-    tau: Optional[BoundaryCondition],
-    infected: FrozenSet[Site],
-) -> FrozenSet[Site]:
-    """One parallel update: infect every region site with a fully infected
-    translated rule; the boundary condition never changes."""
-    if tau is not None and tau.region != region:
-        raise ValueError("boundary condition does not match region")
-    if not infected <= region.sites:
-        raise ValueError("infection set must be contained in the region")
-    zeros = tau.zeros if tau is not None else frozenset()
-    active = infected | zeros
-    new = set(infected)
-    for x in region.sites:
-        if x in infected:
-            continue
-        a, b = x
-        for rule in family.rules:
-            if all((a + dx, b + dy) in active for dx, dy in rule):
-                new.add(x)
-                break
-    return frozenset(new)
 
 
 def _closure(

@@ -79,16 +79,6 @@ def _ccw_cat(anchor: Vec, w: Vec) -> int:
     return 0 if _dot(anchor, w) > 0 else 2
 
 
-def _ccw_leq(anchor: Vec, u: Vec, v: Vec) -> bool:
-    """True iff the ccw angle from anchor to u is <= the one to v."""
-    cu, cv = _ccw_cat(anchor, u), _ccw_cat(anchor, v)
-    if cu != cv:
-        return cu < cv
-    if cu in (0, 2):
-        return True
-    return _cross(u, v) >= 0
-
-
 def _is_stable(family: UpdateFamily, u: Vec) -> bool:
     """Direct predicate: every rule has some site on the closed upper side."""
     return all(any(_dot(x, u) >= 0 for x in rule) for rule in family.rules)
@@ -106,12 +96,6 @@ class Arc:
     def is_point(self) -> bool:
         return self.start == self.end
 
-    def contains(self, u: Vec) -> bool:
-        u = _primitive(u)
-        if self.is_point:
-            return u == self.start
-        return _ccw_leq(self.start, u, self.end)
-
 
 @dataclass(frozen=True)
 class StableDirectionReport:
@@ -119,12 +103,6 @@ class StableDirectionReport:
     full_circle: bool
     classification: str
     tangent_points: Tuple[Vec, ...] = field(default=())
-
-    def is_stable(self, u: Vec) -> bool:
-        if self.full_circle:
-            return True
-        u = _primitive(u)
-        return any(arc.contains(u) for arc in self.arcs)
 
 
 def _candidate_directions(family: UpdateFamily) -> List[Vec]:
@@ -222,8 +200,3 @@ def _classify(arcs: List[Arc]) -> str:
     if len(pts) == 2 and pts[1] != _neg(pts[0]):
         return SUPERCRITICAL_ROOTED
     return SUPERCRITICAL_UNROOTED
-
-
-def classify_family(family: UpdateFamily) -> str:
-    """Three-way classification from the stable set geometry."""
-    return stable_directions(family).classification

@@ -6,8 +6,9 @@ columns converts a configuration into an arrow profile: column k earns an
 up arrow when its capped column contains an infectable vertical interval
 of length at least ell, in which case the algorithm heals a whole range of
 columns (the droplet) and moves on; its cut xi_k is tested by a closure on
-V_{xi,k} with a healthy west wall.  Coarse-graining the arrows over blocks
-yields the 0/1 profiles whose East-like paths are validated here.
+V_{xi,k} with a healthy west wall.  The events B1 (at least n1 up arrows)
+and B2 (a crossing over down-arrow columns) are read off the profile, and
+``monitor_trajectory`` evaluates them along a KCM trajectory.
 
 A configuration enters as a 0/1 state vector over sorted(V), the order of
 ``Dynamics.sites``; ``column_masks`` turns it into the column masks that
@@ -21,9 +22,6 @@ rules never look east).
 
 from __future__ import annotations
 
-import decimal
-import math
-import warnings
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -38,8 +36,6 @@ from .geometry import (
     BoundaryExterior,
     Region,
     Site,
-    derive_rng,
-    sample_occupation,
 )
 from .kcm import SimParams, make_dynamics, observe_trajectory
 
@@ -61,48 +57,6 @@ class DuarteScales:
         for name in ("ell", "N", "n1", "n2"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
-
-    @property
-    def m(self) -> int:
-        """Coarse block size."""
-        return 4 * self.n1 * self.n2
-
-    @property
-    def M(self) -> int:
-        """Number of coarse blocks (last one possibly padded)."""
-        return max(1, math.ceil(self.N / self.m))
-
-    @classmethod
-    def from_formulas(cls, q: float, eps: float) -> "DuarteScales":
-        """The asymptotic scale choices; impractical except for tiny 1/q."""
-        if not 0.0 < q < 1.0 or not 0.0 < eps < 1.0:
-            raise ValueError("q and eps must lie in (0,1)")
-        def floor_exactish(x: float) -> int:
-            # guard against values like 999999.9999999999 produced by float
-            # rounding of an integer-valued formula
-            r = round(x)
-            if abs(x - r) < 1e-9 * max(1.0, abs(x)):
-                return int(r)
-            return math.floor(x)
-
-        lg = math.log(1.0 / q)
-        ell = floor_exactish(lg / (eps * q))
-        exponent = eps * lg * lg / q
-        if exponent < 700.0:
-            big_n = floor_exactish(math.exp(exponent))
-        else:  # beyond float range: evaluate with arbitrary precision
-            with decimal.localcontext() as ctx:
-                ctx.prec = 50
-                big_n = int(decimal.Decimal(exponent).exp().to_integral_value(
-                    rounding=decimal.ROUND_FLOOR
-                ))
-        n1 = floor_exactish(eps * lg * lg / (2.0 * q))
-        n2 = floor_exactish(q ** -6)
-        if big_n > 2 ** 64:
-            warnings.warn("N exceeds 2^64; these scales are not materializable")
-        if min(ell, big_n, n1, n2) < 1:
-            raise ValueError("degenerate scales; use explicit toy values")
-        return cls(q=q, eps=eps, ell=ell, N=big_n, n1=n1, n2=n2)
 
     @classmethod
     def toy(cls, ell: int, N: int, n1: int = 1, n2: int = 1,
@@ -138,12 +92,6 @@ class ColumnGeometry:
 
     def column_x(self, i: int) -> int:
         return i - self.N
-
-    def window(self, i: int, j: int) -> Region:
-        """V_{i,j}, the union of columns i..j."""
-        if not 1 <= i <= j <= self.N:
-            raise ValueError("need 1 <= i <= j <= N")
-        return Region.column_union(self.columns[k] for k in range(i, j + 1))
 
     def initial_tau(self) -> BoundaryCondition:
         """The split boundary of V: healthy on the parallel view (the west
@@ -333,82 +281,6 @@ def event_B2(
     return None
 
 
-@dataclass(frozen=True)
-class CoarseProfile:
-    eta: Tuple[int, ...]
-    padded: bool
-
-
-def eta_project(profile: ArrowProfile, scales: DuarteScales) -> CoarseProfile:
-    """Block-wise OR of arrows over consecutive blocks of size m."""
-    m = scales.m
-    phi = profile.phi
-    padded = len(phi) % m != 0
-    eta = []
-    for start in range(0, len(phi), m):
-        block = phi[start : start + m]
-        eta.append(1 if UP in block else 0)
-    return CoarseProfile(eta=tuple(eta), padded=padded)
-
-
-def validate_coarse_path(
-    sequence: Sequence[Sequence[int]], n1: int
-) -> Dict[str, object]:
-    """Check the three path properties of a coarse-profile sequence.
-
-    (1) starts all-zero and ends with the last coordinate set; (2) at most
-    n1 ones throughout; (3) each step flips exactly one coordinate, and a
-    flip at i > 1 requires the left neighbour to be 1 beforehand.
-    """
-    seq = [tuple(int(v) for v in s) for s in sequence]
-    violations: List[str] = []
-    if not seq:
-        return {"passed": False, "violations": ["empty sequence"]}
-    M = len(seq[0])
-    if any(len(s) != M for s in seq):
-        violations.append("profiles have inconsistent length")
-    if any(seq[0]):
-        violations.append("property 1: initial profile not all-zero")
-    if seq[-1][-1] != 1:
-        violations.append("property 1: final profile does not set the last block")
-    for t, s in enumerate(seq):
-        if sum(s) > n1:
-            violations.append(f"property 2: step {t} carries {sum(s)} > {n1} ones")
-    for t in range(1, len(seq)):
-        prev, cur = seq[t - 1], seq[t]
-        flips = [i for i in range(M) if prev[i] != cur[i]]
-        if len(flips) != 1:
-            violations.append(f"property 3: step {t} flips {len(flips)} coordinates")
-            continue
-        i = flips[0]
-        if i > 0 and prev[i - 1] != 1:
-            violations.append(
-                f"property 3: step {t} flips coordinate {i + 1} without a set left neighbour"
-            )
-    return {"passed": not violations, "violations": violations}
-
-
-def check_droplet_disjointness(profile: ArrowProfile) -> bool:
-    """The droplets' column ranges [xi, k] are pairwise disjoint."""
-    spans = sorted((r.xi, r.k) for r in profile.droplets.values())
-    return all(k < xi for (_, k), (xi, _) in zip(spans, spans[1:]))
-
-
-def check_restriction_identity(profile: ArrowProfile) -> bool:
-    """Off the union of droplets, every recorded state equals the initial one:
-    after column `step`, each column outside the droplets with k <= step
-    still has its initial mask."""
-    if not profile.history:
-        raise ValueError("profile has no history")
-    first = profile.history[0]
-    for step, masks in enumerate(profile.history[1:], start=1):
-        spans = [(r.xi, r.k) for r in profile.droplets.values() if r.k <= step]
-        for c, (m0, m) in enumerate(zip(first, masks), start=1):
-            if m != m0 and not any(xi <= c <= k for xi, k in spans):
-                return False
-    return True
-
-
 @dataclass
 class TrajectoryReport:
     first_b1: Optional[float]
@@ -429,11 +301,14 @@ def monitor_trajectory(
 ) -> TrajectoryReport:
     """Run the constrained dynamics on V (healthy left wall, empty caps) and
     evaluate the arrow machinery on a uniform time grid.  Entry times are
-    resolved only up to the grid spacing."""
+    resolved only up to the grid spacing.  A given ``geometry`` must have
+    the scales' N."""
     if sample_interval <= 0:
         raise ValueError("sample interval must be positive")
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
+    if geometry is not None and geometry.N != scales.N:
+        raise ValueError(f"geometry has N = {geometry.N} columns, the scales N = {scales.N}")
     grid = list(np.arange(0.0, t_max + 1e-12, sample_interval)) if t_max > 0 else []
     report = TrajectoryReport(
         first_b1=None,
@@ -473,33 +348,3 @@ def monitor_trajectory(
 
     observe_trajectory(params, grid, observer, dyn=dyn)
     return report
-
-
-def estimate_uparrow_density(
-    scales: DuarteScales,
-    trials: int,
-    seed: int,
-    geometry: Optional[ColumnGeometry] = None,
-) -> Dict[str, float]:
-    """Monte Carlo estimate of mu(some arrow points up) with a Wilson CI."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    geometry = geometry or ColumnGeometry(scales.N)
-    hits = 0
-    for trial in range(trials):
-        state = sample_occupation(geometry.region, scales.q, derive_rng(seed, trial))
-        profile = run_droplet_algorithm(column_masks(geometry, state), geometry, scales.ell)
-        if profile.n_up > 0:
-            hits += 1
-    p_hat = hits / trials
-    z = 1.959963984540054  # 95% normal quantile
-    denom = 1 + z * z / trials
-    center = (p_hat + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(p_hat * (1 - p_hat) / trials + z * z / (4 * trials * trials)) / denom
-    return {
-        "p_hat": p_hat,
-        "ci_low": max(0.0, center - half),
-        "ci_high": min(1.0, center + half),
-        "trials": trials,
-        "hits": hits,
-    }

@@ -39,7 +39,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .families import UpdateFamily, builtin_family, compile_rules
+from .families import UpdateFamily, builtin_family, compile_dependents, compile_rules
 from .geometry import ALL_HEALTHY, ALL_INFECTED, Region, Site
 
 GENERATOR_CAP = 1 << 14
@@ -340,18 +340,33 @@ def _capped_search(
     ``region``, with an all-infected exterior and at most ``max_zeros``
     simultaneous empties.  Returns whether the origin ever empties and how
     many states were reached; with ``stop_at_origin`` the search ends when
-    the origin first empties, and the count is of the states seen so far."""
+    the origin first empties, and the count is of the states seen so far.
+
+    Only two kinds of site can be legal in a state: a site with a rule that
+    always fires (a zero mask), and a dependent of one of the state's
+    empties, since every other rule needs an empty among the sites it
+    reads.  Those candidates are checked in ascending index order, the
+    order of a scan over all sites, so the search visits the same states in
+    the same order as that scan."""
     sites = sorted(region.sites)
     origin_bit = 1 << sites.index((0, 0))
     site_masks = _site_masks(family, sites, ALL_INFECTED)
+    deps = compile_dependents(compile_rules(family, sites, ALL_INFECTED))
+    always = [i for i, masks in enumerate(site_masks) if 0 in masks]
     seen = {0}
     queue = deque([0])
     origin_empties = False
     while queue:
         state = queue.popleft()
         zeros = bin(state).count("1")
-        for i, masks in enumerate(site_masks):
-            if not _constraint_bit(masks, state):
+        candidates = set(always)
+        empties = state
+        while empties:
+            low = empties & -empties
+            candidates.update(deps[low.bit_length() - 1])
+            empties ^= low
+        for i in sorted(candidates):
+            if not _constraint_bit(site_masks[i], state):
                 continue
             bit = 1 << i
             if not state & bit and zeros + 1 > max_zeros:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, List, Sequence, Tuple
 
-from .geometry import Configuration, Site
+from .geometry import Site
 
 
 class FamilyError(ValueError):
@@ -117,21 +117,6 @@ def load_family(spec: str) -> UpdateFamily:
         return parse_family(fh.read())
 
 
-def constraint_satisfied(config: Configuration, family: UpdateFamily, x: Site) -> bool:
-    """The constraint indicator c_x: some rule, translated to x, is all empty.
-
-    Sites outside the region take values from the configuration's exterior
-    policy.
-    """
-    if x not in config.region.sites:
-        raise ValueError(f"site {x} outside region")
-    a, b = x
-    for rule in family.rules:
-        if all(config.value_at((a + dx, b + dy)) == 0 for dx, dy in rule):
-            return True
-    return False
-
-
 def compile_rules(
     family: UpdateFamily, sites: Sequence[Site], exterior
 ) -> List[Tuple[Tuple[int, ...], ...]]:
@@ -158,3 +143,16 @@ def compile_rules(
                 live.append(tuple(nbrs))
         out.append(tuple(live))
     return out
+
+
+def compile_dependents(
+    site_rules: Sequence[Tuple[Tuple[int, ...], ...]]
+) -> List[Tuple[int, ...]]:
+    """For each site j of ``compile_rules``' output, the sites whose rules
+    read j, ascending: the only sites whose constraint a flip of j can
+    change."""
+    deps = [[] for _ in site_rules]
+    for i, rules in enumerate(site_rules):
+        for j in {j for rule in rules for j in rule}:
+            deps[j].append(i)
+    return [tuple(d) for d in deps]

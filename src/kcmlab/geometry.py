@@ -1,10 +1,11 @@
-"""Lattice geometry: finite regions, boundary decompositions, configurations.
+"""Lattice geometry: finite regions, boundary decompositions, exterior policies.
 
 Sites are plain ``(x, y)`` integer tuples; ``y`` is the height.  A finite
-window of Z^2 is a :class:`Region`, and a :class:`Configuration` assigns one
-occupation bit per region site (0 = empty/infected, 1 = occupied/healthy)
-together with an explicit exterior policy that fixes the semantics of every
-site outside the window.
+window of Z^2 is a :class:`Region`.  An exterior policy fixes the value of
+every site outside a window (0 = empty/infected, 1 = occupied/healthy):
+all healthy, all infected, or a :class:`BoundaryCondition` with healthy
+sites beyond it.  A configuration of a region is a 0/1 state vector over
+``sorted(region.sites)``, as ``sample_occupation`` draws it.
 """
 
 from __future__ import annotations
@@ -190,31 +191,6 @@ class BoundaryExterior:
         return f"Boundary({len(self.bc.zeros)} zeros)"
 
 
-class Configuration:
-    """A 0/1 field on a region plus an exterior policy."""
-
-    __slots__ = ("region", "empty", "exterior")
-
-    def __init__(self, region: Region, empty: Iterable[Site], exterior=ALL_HEALTHY):
-        self.region = region
-        self.empty: FrozenSet[Site] = frozenset(empty)
-        if not self.empty <= region.sites:
-            raise ValueError("empty set must be contained in the region")
-        self.exterior = exterior
-
-    def value_at(self, site: Site) -> int:
-        if site in self.region.sites:
-            return 0 if site in self.empty else 1
-        return self.exterior.value_at(site)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Configuration)
-            and self.region == other.region
-            and self.empty == other.empty
-        )
-
-
 def derive_rng(seed: int, *stream: int) -> np.random.Generator:
     """Independent RNG stream keyed by (seed, stream ids); no global state."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, stream)]))
@@ -226,9 +202,3 @@ def sample_occupation(region: Region, q: float, rng: np.random.Generator) -> np.
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0,1], got {q}")
     return (rng.random(len(region)) >= q).astype(np.int8)
-
-
-def sample_bernoulli(region: Region, q: float, rng: np.random.Generator) -> Configuration:
-    """Product measure: each site independently empty with probability q."""
-    state = sample_occupation(region, q, rng)
-    return Configuration(region, (s for s, v in zip(sorted(region.sites), state.tolist()) if v == 0))

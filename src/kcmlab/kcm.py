@@ -58,7 +58,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .families import UpdateFamily, compile_rules
+from .families import UpdateFamily, compile_dependents, compile_rules
 from .geometry import (
     ALL_HEALTHY,
     BoundaryCondition,
@@ -121,14 +121,10 @@ class Dynamics:
         self.neighbors = np.fromiter(
             (j for rule in rules for j in rule), dtype=np.int64, count=int(self.rule_ptr[-1])
         )
-        deps = [[] for _ in self.sites]
-        for i, site in enumerate(self.site_rules):
-            for j in {j for rule in site for j in rule}:
-                deps[j].append(i)
-        self.site_deps = tuple(map(tuple, deps))
-        self.dep_ptr = np.cumsum([0] + [len(d) for d in deps], dtype=np.int64)
+        self.site_deps = tuple(compile_dependents(self.site_rules))
+        self.dep_ptr = np.cumsum([0] + [len(d) for d in self.site_deps], dtype=np.int64)
         self.dependents = np.fromiter(
-            (i for d in deps for i in d), dtype=np.int64, count=int(self.dep_ptr[-1])
+            (i for d in self.site_deps for i in d), dtype=np.int64, count=int(self.dep_ptr[-1])
         )
         self.slots = np.empty(self.n, dtype=np.int64)
         self.pos = np.empty(self.n, dtype=np.int64)
@@ -423,43 +419,6 @@ def _hitting(
     return HittingResult(t, not hit, events, events)
 
 
-def simulate_tau0(params: SimParams, dyn: Optional[Dynamics] = None) -> HittingResult:
-    """Time of first emptiness at the origin from a stationary start."""
-    return _hitting(params, dyn, MODE_TAU0, params.trial)
-
-
-def simulate_persistence(
-    params: SimParams, dyn: Optional[Dynamics] = None
-) -> HittingResult:
-    """Time of the first legal update at the origin from a stationary start."""
-    return _hitting(params, dyn, MODE_PERSISTENCE, params.trial)
-
-
-def sample_state_at(
-    params: SimParams,
-    t_obs: float,
-    dyn: Optional[Dynamics] = None,
-    initial_state: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """State vector at a fixed time, no stopping rule.  ``initial_state``,
-    if given, holds one 0 or 1 per site of the dynamics; it is copied."""
-    if dyn is None:
-        dyn = make_dynamics(params)
-    rng = derive_rng(params.seed, params.trial)
-    if initial_state is None:
-        state = dyn.sample_state(params.q, rng)
-    else:
-        state = np.asarray(initial_state)
-        if state.shape != (dyn.n,) or not ((state == 0) | (state == 1)).all():
-            raise ValueError(
-                f"initial_state must hold {dyn.n} entries, each 0 or 1; "
-                f"got shape {state.shape}"
-            )
-        state = state.astype(np.int8)
-    _run(dyn, state, params.q, t_obs, MODE_RUN, rng)
-    return state
-
-
 def observe_trajectory(
     params: SimParams,
     time_grid: List[float],
@@ -468,17 +427,18 @@ def observe_trajectory(
 ) -> None:
     """Call ``observer(t, state)`` at each grid time of one trajectory.
 
-    The grid must be increasing; the observer sees the live state array and
-    must not mutate it.
+    The grid must be nondecreasing from 0, and is checked whole before the
+    first segment runs; the observer sees the live state array and must not
+    mutate it.
     """
+    if any(b < a for a, b in zip([0.0, *time_grid], time_grid)):
+        raise ValueError("time grid must be nondecreasing from 0")
     if dyn is None:
         dyn = make_dynamics(params)
     rng = derive_rng(params.seed, params.trial)
     state = dyn.sample_state(params.q, rng)
     t = 0.0
     for t_obs in time_grid:
-        if t_obs < t:
-            raise ValueError("time grid must be nondecreasing")
         _, t, _ = _run(dyn, state, params.q, t_obs, MODE_RUN, rng, 0, t0=t)
         observer(t_obs, state)
 

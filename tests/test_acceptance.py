@@ -14,20 +14,16 @@ from kcmlab.bootstrap import (
     closure_free,
     closure_region,
     median_bootstrap_time,
-    synchronous_step,
 )
 from kcmlab.directions import (
     NOT_SUPERCRITICAL,
     SUPERCRITICAL_ROOTED,
-    classify_family,
     stable_directions,
 )
 from kcmlab.droplets import (
     DOWN,
     UP,
     ColumnGeometry,
-    check_droplet_disjointness,
-    check_restriction_identity,
     event_B2,
 )
 from kcmlab.exact import (
@@ -45,6 +41,13 @@ from kcmlab.harness import ExperimentConfig, fit_scaling, medians_from_manifest,
 from kcmlab.kcm import SimParams, batch_tau0, east_chain_region, frozen_boundary_for
 
 from conftest import random_family, random_seed_set, random_tau
+from reference import (
+    check_droplet_disjointness,
+    check_restriction_identity,
+    is_stable,
+    synchronous_step,
+    window,
+)
 from test_droplets import masks_of, one_step_unconstrained, profile_of
 from test_exact import brute_force_reachability
 
@@ -162,8 +165,8 @@ def test_03_monotonicity(rng):
         j = int(rng.integers(1, n_cols + 1))
         i = int(rng.integers(1, j + 1))
         i_prime = int(rng.integers(1, i + 1))
-        lam = geometry.window(i, j)
-        lam_prime = geometry.window(i_prime, j)
+        lam = window(geometry, i, j)
+        lam_prime = window(geometry, i_prime, j)
         seed_big = random_seed_set(rng, lam_prime, 0.25)
         closed_small = closure_region(
             DUARTE, lam, BoundaryCondition.split(lam, 1, 0), seed_big & lam.sites
@@ -373,7 +376,7 @@ def test_09b_duarte_bootstrap_trend():
 
 
 def test_10_classification():
-    assert classify_family(EAST2) == SUPERCRITICAL_ROOTED
+    assert stable_directions(EAST2).classification == SUPERCRITICAL_ROOTED
     footnote = UpdateFamily.create("f", [[(-1, 0)], [(0, -1)], [(1, 0), (0, 1)]])
     report = stable_directions(footnote)
     assert report.classification == SUPERCRITICAL_ROOTED
@@ -382,10 +385,10 @@ def test_10_classification():
         for u in range(-6, 7)
         for v in range(-6, 7)
         if (u, v) != (0, 0) and math.gcd(abs(u), abs(v)) == 1
-        and report.is_stable((u, v))
+        and is_stable(report, (u, v))
     }
     assert stable_points == {(-1, 0), (0, -1)}
-    assert classify_family(DUARTE) == NOT_SUPERCRITICAL
+    assert stable_directions(DUARTE).classification == NOT_SUPERCRITICAL
     print("\n[PASS] 10 classification: east2d rooted, footnote family rooted "
           "with stable set {-e1, -e2}, duarte not supercritical")
 

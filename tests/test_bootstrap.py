@@ -11,12 +11,12 @@ from kcmlab.bootstrap import (
     duarte_path_exists,
     grid_step,
     median_bootstrap_time,
-    synchronous_step,
 )
 from kcmlab.families import UpdateFamily, builtin_family
 from kcmlab.geometry import BoundaryCondition, Region
 
 from conftest import random_family, random_region, random_seed_set, random_tau
+from reference import synchronous_step
 
 DUARTE = builtin_family("duarte")
 EAST1 = builtin_family("east1d")

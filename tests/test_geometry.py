@@ -4,15 +4,14 @@ from kcmlab.geometry import (
     ALL_INFECTED,
     BoundaryCondition,
     BoundaryExterior,
-    Configuration,
     Region,
     boundaries,
     derive_rng,
     outer_boundary,
-    sample_bernoulli,
 )
 
 from conftest import random_region
+from reference import Configuration, sample_bernoulli
 
 
 def brute_force_boundaries(region):

@@ -7,13 +7,12 @@ from scipy.linalg import expm
 
 from kcmlab import kcm
 from kcmlab.exact import _constraint_bit, _site_masks, build_generator, mean_hitting
-from kcmlab.families import builtin_family, compile_rules, constraint_satisfied, load_family
+from kcmlab.families import builtin_family, compile_rules, load_family
 from kcmlab.geometry import (
     ALL_HEALTHY,
     ALL_INFECTED,
     BoundaryCondition,
     BoundaryExterior,
-    Configuration,
     Region,
     boundaries,
     derive_rng,
@@ -26,10 +25,15 @@ from kcmlab.kcm import (
     frozen_boundary_for,
     make_dynamics,
     observe_trajectory,
+    summarize,
+)
+
+from reference import (
+    Configuration,
+    constraint_satisfied,
     sample_state_at,
     simulate_persistence,
     simulate_tau0,
-    summarize,
 )
 
 EAST1 = builtin_family("east1d")
@@ -314,6 +318,17 @@ class TestObservation:
         assert seen == [0.0, 1.0, 2.5, 7.0]
         with pytest.raises(ValueError, match="nondecreasing"):
             observe_trajectory(params, [1.0, 0.5], lambda t, s: None)
+
+    @pytest.mark.parametrize("grid", [[1.0, 0.5], [0.0, 2.0, 2.0, 1.0], [-1.0]])
+    def test_bad_grid_rejected_before_any_observation(self, grid):
+        region = east_chain_region(3)
+        params = SimParams(
+            EAST1, 0.4, region, frozen_boundary_for(EAST1, region), t_max=10.0, seed=5
+        )
+        seen = []
+        with pytest.raises(ValueError, match="nondecreasing from 0"):
+            observe_trajectory(params, grid, lambda t, s: seen.append(t))
+        assert seen == []
 
     def test_initial_observation_matches_stationary_sample(self):
         region = east_chain_region(4)
