@@ -66,6 +66,7 @@ from .geometry import (
     Region,
     Site,
     derive_rng,
+    sample_occupation,
 )
 
 
@@ -132,10 +133,6 @@ class Dynamics:
             self.site_ptr, self.rule_ptr, self.neighbors, self.dep_ptr, self.dependents,
             self.slots, self.pos,
         ))
-
-    def sample_state(self, q: float, rng: np.random.Generator) -> np.ndarray:
-        """Stationary product start: occupied with probability 1 - q."""
-        return (rng.random(self.n) >= q).astype(np.int8)
 
 
 MODE_TAU0 = 0
@@ -411,7 +408,7 @@ def _hitting(
     if dyn is None:
         dyn = make_dynamics(params)
     rng = derive_rng(params.seed, trial)
-    state = dyn.sample_state(params.q, rng)
+    state = sample_occupation(dyn.region, params.q, rng)
     origin_idx = dyn.index[(0, 0)]
     if mode == MODE_TAU0 and state[origin_idx] == 0:
         return HittingResult(0.0, False, 0, 0)
@@ -436,7 +433,7 @@ def observe_trajectory(
     if dyn is None:
         dyn = make_dynamics(params)
     rng = derive_rng(params.seed, params.trial)
-    state = dyn.sample_state(params.q, rng)
+    state = sample_occupation(dyn.region, params.q, rng)
     t = 0.0
     for t_obs in time_grid:
         _, t, _ = _run(dyn, state, params.q, t_obs, MODE_RUN, rng, 0, t0=t)

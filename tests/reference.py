@@ -203,7 +203,7 @@ def sample_state_at(
         dyn = kcm.make_dynamics(params)
     rng = kcm.derive_rng(params.seed, params.trial)
     if initial_state is None:
-        state = dyn.sample_state(params.q, rng)
+        state = sample_occupation(dyn.region, params.q, rng)
     else:
         state = np.asarray(initial_state)
         if state.shape != (dyn.n,) or not ((state == 0) | (state == 1)).all():

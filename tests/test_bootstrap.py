@@ -5,6 +5,7 @@ import pytest
 
 from kcmlab import bootstrap
 from kcmlab.bootstrap import (
+    ClosureResult,
     bootstrap_time_on_grid,
     closure_free,
     closure_region,
@@ -21,6 +22,34 @@ from reference import synchronous_step
 DUARTE = builtin_family("duarte")
 EAST1 = builtin_family("east1d")
 EAST2 = builtin_family("east2d")
+LEFT = UpdateFamily.create("w", [[(1, 0)]])
+RECTANGLE = frozenset({(x, 0) for x in range(21)} | {(0, y) for y in range(19)})
+
+
+def record_shapes(monkeypatch):
+    """Patch ``bootstrap.grid_step`` to log the shape of every grid it steps."""
+    shapes = []
+    real_step = bootstrap.grid_step
+
+    def recording_step(family, infected):
+        shapes.append(infected.shape)
+        return real_step(family, infected)
+
+    monkeypatch.setattr(bootstrap, "grid_step", recording_step)
+    return shapes
+
+
+def record_windows(monkeypatch):
+    """Patch ``bootstrap._close`` to log the shape of every grid closed."""
+    shapes = []
+    real_close = bootstrap._close
+
+    def recording_close(family, infected, inside=None):
+        shapes.append(infected.shape)
+        return real_close(family, infected, inside)
+
+    monkeypatch.setattr(bootstrap, "_close", recording_close)
+    return shapes
 
 
 def iterate_synchronous(family, region, tau, seed):
@@ -116,6 +145,14 @@ class TestClosureRegion:
             c_large = closure_region(family, region, tau, small | extra).closed
             assert c_small <= c_large
 
+    def test_oversized_bounding_box_rejected(self):
+        region = Region([(0, 0), (10**5, 10**5)])
+        with pytest.raises(
+            ValueError,
+            match="bounding box of 100001 x 100001 holds 10000200001 cells, above the limit of 134217728",
+        ):
+            closure_region(DUARTE, region, None, {(0, 0)})
+
 
 class TestClosureFree:
     def test_empty_seed(self):
@@ -124,12 +161,15 @@ class TestClosureFree:
         assert not result.touched_cap
 
     def test_leftward_chain_hits_cap(self):
-        fam = UpdateFamily.create("w", [[(1, 0)]])
-        result = closure_free(fam, {(0, 0)}, cap=10)
+        result = closure_free(LEFT, {(0, 0)}, cap=10)
         assert result.closed == {(-k, 0) for k in range(0, 11)}
         assert result.touched_cap
 
     def test_duarte_finite_seed_stays_bounded(self, rng):
+        # a Duarte closure stays in its seed's bounding box, so the box of
+        # radius 8 with a healthy frame holds the whole closure
+        region = Region.box(8)
+        tau = BoundaryCondition.uniform(region, 1)
         for _ in range(40):
             seed = {
                 (int(rng.integers(-5, 6)), int(rng.integers(-5, 6)))
@@ -137,14 +177,64 @@ class TestClosureFree:
             }
             result = closure_free(DUARTE, seed, cap=40)
             assert not result.touched_cap
-            # agree with the finite-volume closure on a generous window
-            region = Region.rectangle(-45, 45, -45, 45)
-            tau = BoundaryCondition.uniform(region, 1)
-            assert closure_region(DUARTE, region, tau, seed).closed == result.closed
+            closed, rounds = iterate_synchronous(DUARTE, region, tau, seed)
+            assert (result.closed, result.rounds) == (closed, rounds)
+
+    @pytest.mark.parametrize("family, seed, cap, windows", [
+        (LEFT, {(0, 0)}, 40, [(33, 33), (57, 33)]),
+        (EAST2, {(0, 0), (3, -2), (-6, 4)}, 20, [(40, 39), (41, 39)]),
+        (DUARTE, RECTANGLE, 64, [(53, 51)]),
+    ], ids=["leftward-chain", "east2d", "duarte-rectangle"])
+    def test_matches_synchronous_iteration(self, monkeypatch, family, seed, cap, windows):
+        # each restart of the growing search closes in one window; the
+        # oracle is the synchronous iteration on the whole cap box
+        shapes = record_windows(monkeypatch)
+        result = closure_free(family, seed, cap)
+        assert shapes == windows
+        region = Region.box(cap)
+        tau = BoundaryCondition.uniform(region, 1)
+        closed, rounds = iterate_synchronous(family, region, tau, seed)
+        touched = any(
+            (x - dx, y - dy) not in region for x, y in closed for dx, dy in family.offsets()
+        )
+        assert (result.closed, result.rounds) == (closed, rounds)
+        assert result.touched_cap is touched
+
+    def test_large_cap_costs_only_the_closure(self, monkeypatch):
+        # the rectangle's closure stays in its seed's bounding box, so a cap
+        # of 10^5 closes in the same window as a cap of 64
+        shapes = record_windows(monkeypatch)
+        assert closure_free(DUARTE, RECTANGLE, cap=10**5) == closure_free(DUARTE, RECTANGLE, cap=64)
+        assert shapes == [(53, 51), (53, 51)]
+
+    def test_long_chain_costs_its_length(self, monkeypatch):
+        # the window grows along the chain only, and each step takes a box
+        # about the chain's tip: about 1.4e8 cells in all, where stepping
+        # the cap box every round would be 8192 * 16385^2, about 2.2e12
+        shapes = record_shapes(monkeypatch)
+        result = closure_free(EAST1, {(0, 0)}, cap=8192)
+        assert result == ClosureResult(frozenset((k, 0) for k in range(8193)), 8192, True)
+        assert sum(n * m for n, m in shapes) < 10**9
+
+    def test_far_seed_closes_about_itself(self, monkeypatch):
+        # the window lies about the seed, not the origin; a cell beyond the
+        # cap reads the seed's site
+        shapes = record_windows(monkeypatch)
+        result = closure_free(DUARTE, {(6000, 0)}, cap=6000)
+        assert result == ClosureResult(frozenset({(6000, 0)}), 0, True)
+        assert shapes == [(17, 33)]
 
     def test_cap_smaller_than_seed_rejected(self):
         with pytest.raises(ValueError, match="cap"):
             closure_free(DUARTE, {(9, 0)}, cap=3)
+        with pytest.raises(ValueError, match="cap -1 smaller than seed radius 0"):
+            closure_free(DUARTE, frozenset(), cap=-1)
+
+    def test_oversized_window_rejected(self):
+        with pytest.raises(
+            ValueError, match="window of 12001 x 12001 holds 144024001 cells, above the limit of 134217728"
+        ):
+            closure_free(DUARTE, {(-6000, -6000), (6000, 6000)}, cap=6000)
 
 
 class TestDuartePath:
@@ -177,12 +267,15 @@ class TestDuartePath:
 
 class TestGridEngine:
     def test_grid_matches_set_engine(self, rng):
+        # the grid iterated to its fixed point against the synchronous
+        # iteration on the same box with a healthy frame
+        box = 6
+        n = 2 * box + 1
+        region = Region.box(box)
+        tau = BoundaryCondition.uniform(region, 1)
         for _ in range(40):
             family = random_family(rng)
-            box = 6
-            n = 2 * box + 1
             empty = rng.random((n, n)) < 0.3
-            # iterate the grid to its fixed point
             cur = empty.copy()
             while True:
                 nxt = grid_step(family, cur)
@@ -193,16 +286,8 @@ class TestGridEngine:
                 (i - box, j - box) for i, j in zip(*np.nonzero(cur))
             }
             seed = {(i - box, j - box) for i, j in zip(*np.nonzero(empty))}
-            region = Region.box(box + 8)
-            tau = BoundaryCondition.uniform(region, 1)
-            set_closed = closure_region(family, region, tau, seed).closed
-            # restrict to the grid window: the set engine may grow farther
-            in_window = {s for s in set_closed if abs(s[0]) <= box and abs(s[1]) <= box}
-            grown = any(
-                abs(s[0]) > box or abs(s[1]) > box for s in set_closed
-            )
-            if not grown:
-                assert grid_set == in_window
+            closed, _ = iterate_synchronous(family, region, tau, seed)
+            assert grid_set == closed
 
 
 def full_grid_time(family, empty, origin, max_steps=None):
@@ -263,19 +348,14 @@ class TestGridWindow:
 
     def test_duarte_steps_only_its_window(self, monkeypatch):
         # Duarte reads W, N and S: after 64 steps the origin depends on
-        # 64 columns to its west and 64 rows either side, none to its east
-        shapes = set()
-        real_step = bootstrap.grid_step
-
-        def recording_step(family, infected):
-            shapes.add(infected.shape)
-            return real_step(family, infected)
-
-        monkeypatch.setattr(bootstrap, "grid_step", recording_step)
+        # 64 columns to its west and 64 rows either side, none to its east;
+        # the first step takes that window, later ones the box of the front
+        shapes = record_shapes(monkeypatch)
         empty = np.zeros((513, 513), dtype=bool)
         empty[:, :200] = True
         assert bootstrap_time_on_grid(DUARTE, empty, (256, 256), max_steps=64) is None
-        assert shapes == {(65, 129)}
+        assert shapes[0] == (65, 129)
+        assert all(n <= 65 and m <= 129 for n, m in shapes[1:])
 
     def test_bad_input_rejected(self):
         grid = np.zeros((5, 5), dtype=bool)

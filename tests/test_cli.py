@@ -193,7 +193,11 @@ class TestOutOfRangeInput:
          "q must lie in [0,1]"),
         (["duarte-phi", "--n-columns", "300", "--ell", "2"],
          "N = 300 columns hold 27089700 sites, above the limit of 4194304"),
-    ], ids=["kcm-run", "bootstrap-time", "sweep", "duarte-phi", "duarte-phi-oversized"])
+        (["bootstrap-time", "--family", "duarte", "--q", "0.2", "--box", "100000",
+          "--trials", "1"],
+         "box 100000 holds 40000400001 cells, above the limit of 134217728"),
+    ], ids=["kcm-run", "bootstrap-time", "sweep", "duarte-phi", "duarte-phi-oversized",
+            "bootstrap-time-oversized"])
     def test_one_line_error(self, runner, tmp_path, args, message):
         with runner.isolated_filesystem(temp_dir=tmp_path):
             result = runner.invoke(main, args)

@@ -16,6 +16,7 @@ from kcmlab.geometry import (
     Region,
     boundaries,
     derive_rng,
+    sample_occupation,
 )
 from kcmlab.harness import ExperimentConfig, run_sweep
 from kcmlab.kcm import (
@@ -340,7 +341,7 @@ class TestObservation:
         observe_trajectory(
             params, [0.0], lambda t, s: grabbed.setdefault(t, s.copy()), dyn=dyn
         )
-        expected = dyn.sample_state(0.4, derive_rng(8, 0))
+        expected = sample_occupation(dyn.region, 0.4, derive_rng(8, 0))
         assert np.array_equal(grabbed[0.0], expected)
 
 
@@ -399,7 +400,7 @@ def _trial(dyn, q, t_max, mode, seed, trial):
     ``kcm.derive_rng(seed, trial)``, whose stream ``_on_loop`` sees: its
     result and final state."""
     rng = kcm.derive_rng(seed, trial)
-    state = dyn.sample_state(q, rng)
+    state = sample_occupation(dyn.region, q, rng)
     result = kcm._run(dyn, state, q, t_max, mode, rng, dyn.index[(0, 0)])
     return result, state.tolist()
 
@@ -503,7 +504,7 @@ def test_frozen_state_stops_at_once(monkeypatch, loop):
         frozen += 1
         assert result == kcm.HittingResult(1e9, True, 0, 0)
         rng = derive_rng(41, trial)
-        make_dynamics(params).sample_state(0.3, rng)
+        sample_occupation(lone, 0.3, rng)
         assert streams == [rng.bit_generator.state]
     assert frozen >= 5
 
