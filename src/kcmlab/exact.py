@@ -7,18 +7,23 @@ bit operations, one pass per site.  Detailed balance makes
 S = D^{1/2} (-L) D^{-1/2}, D = diag(mu), symmetric, and both solvers work on
 sparse S; no dense matrix is built.
 
-- The spectral gap is the second eigenvalue of S on the ergodic component of
-  the all-occupied state, found by shift-invert Lanczos (ARPACK) with a
-  SuperLU factorization of S - sigma I, sigma < 0, in symmetric mode.
+- The spectral gap is found after peeling sink sites, the sites whose
+  state no other site's legality reads.  Each sink splits the spectrum into
+  that of the chain without it and the lowest eigenvalue of a killed
+  operator on half the states, found by shift-invert Lanczos (ARPACK) about
+  0 with a SuperLU factorization in symmetric mode.  What does not peel
+  takes the second eigenvalue of S on its ergodic component by shift-invert
+  about sigma < 0 (see ``spectral_gap``).  East chains peel completely, so
+  their largest factor has half their states; Duarte boxes have no sink.
 - Mean hitting times solve the symmetrized system on {origin occupied} with
   the same kind of factorization, checked by a relative backward error.
 - One undirected component labelling, ``_components``, serves the gap and
   the hitting solve, and the proxy bound's Dirichlet form is read off L.
 
 Both costs are those of the sparse factor, whose fill grows faster than the
-state count.  For East chains of 2^13 and 2^14 states, gap plus hitting time
-take about 1.5 s and 10 s on one x86-64 core, with a peak process memory of
-about 0.13 and 0.37 GB.
+state count.  For East chains of 2^13 and 2^14 states at q = 0.3, gap plus
+hitting time take about 0.4 s and 1.8 s on one x86-64 core, with a peak
+process memory of about 0.08 and 0.15 GB.
 
 - Energy barriers and capped-vacancy reachability share one breadth-first
   search, ``_capped_search``, over the states with at most k empties
@@ -186,14 +191,88 @@ def _spd_factor(A: sp.spmatrix) -> spla.SuperLU:
     )
 
 
+def _flip_table(L: sp.spmatrix, n: int) -> np.ndarray:
+    """legal[s, j]: site j may flip in state s, read off L as
+    L[s, s ^ (1 << j)] != 0."""
+    C = L.tocoo()
+    off = (C.row != C.col) & (C.data != 0)
+    rows = C.row[off]
+    legal = np.zeros((L.shape[0], n), dtype=bool)
+    # each flip differs from its row in one bit, a power of two 2^j
+    legal[rows, np.frexp(rows ^ C.col[off])[1] - 1] = True
+    return legal
+
+
+def _peel_order(legal: np.ndarray) -> List[int]:
+    """Sinks in the order they are peeled.  A sink is a site whose state no
+    other remaining site's legality reads; each turn peels the highest such
+    site.  Peeling a site can only remove readers, so a sink stays one,
+    and the order ends when no remaining site is a sink."""
+    size, n = legal.shape
+    states = np.arange(size)
+    # reads[i, j]: the legality of site j depends on the state of site i
+    reads = np.array([(legal != legal[states ^ (1 << i)]).any(axis=0) for i in range(n)])
+    left = list(range(n))
+    order: List[int] = []
+    while True:
+        sinks = [i for i in left if not reads[i, left].any()]
+        if not sinks:
+            return order
+        order.append(sinks[-1])
+        left.remove(sinks[-1])
+
+
+def _eigenpair(A: sp.spmatrix, k: int, sigma: float) -> Tuple[float, np.ndarray]:
+    """The k-th smallest eigenvalue of a symmetric positive semidefinite A
+    and its eigenvector: shift-invert Lanczos (ARPACK) about sigma, with
+    A - sigma I positive definite so that its sparse factorization needs no
+    pivoting.  Matrices of at most two states, too small for ARPACK, take a
+    dense eigh."""
+    m = A.shape[0]
+    if m <= 2:
+        evals, evecs = np.linalg.eigh(A.toarray())
+    else:
+        lu = _spd_factor(A - sigma * sp.identity(m) if sigma else A)
+        evals, evecs = spla.eigsh(
+            A, k=k, sigma=sigma, which="LM",
+            OPinv=spla.LinearOperator((m, m), matvec=lu.solve, dtype=float),
+            v0=np.random.default_rng(0).random(m),
+        )
+    j = np.argsort(evals)[k - 1]
+    return float(evals[j]), evecs[:, j]
+
+
 def spectral_gap(gen: GeneratorOperator) -> Dict[str, float]:
-    """Smallest nonzero eigenvalue of -L on the ergodic component of the
+    """Smallest nonzero eigenvalue of -L on the ergodic component C of the
     all-occupied state, with a residual cross-check.
 
-    The two eigenvalues of S nearest a shift sigma < 0 come from
-    shift-invert Lanczos; S - sigma I is positive definite, so its sparse
-    factorization needs no pivoting.  Components of two states, too small
-    for ARPACK's two wanted eigenvalues, take a 2x2 dense eigh.
+    Sinks are peeled off before anything is factored.  A site i is a sink
+    when no other site's legality reads eta_i.  Write eta = (eta', eta_i),
+    let L' be the chain without i, C' the component of its all-occupied
+    state, c_i(eta') in {0, 1} the legality of i, and e(eta_i) = 1{i empty}
+    - q, so that the single-site generator maps e to -e and
+    mu_i(e) = 0.  The rates of the other sites do not read eta_i, so for
+    functions g, h of eta'
+
+        L (g + h e) = L' g + (L' h - c_i h) e.
+
+    The projection onto functions of eta' therefore commutes with L, and
+    the spectrum of -L on C is the spectrum of -L' on C' together with that
+    of -L' + diag(c_i) on C'.  The second part is there only when c_i is
+    not identically 0 on C'; if it is, C = C' x {occupied}.  Symmetrized by
+    D^{1/2}, the second part is K = S' + diag(c_i), which is positive
+    definite (irreducible on C' with a nonzero killing), so one
+    shift-invert about 0 finds its lowest eigenvalue, and that eigenvalue
+    is simple.  An eigenvector h of K lifts to the eigenvector
+    (h / d)(eta') e(eta_i) of -L.
+
+    So sinks are peeled, highest first, until none is left: each level's S
+    is the slice of the level above on {eta_i occupied}, less the rate
+    q c_i at which i empties on its diagonal, and K is the same slice plus
+    (1 - q) c_i.  Whatever does not peel takes the second eigenvalue of its
+    whole S by shift-invert about sigma < 0.  The gap is the smallest of
+    these candidates, and its eigenvector, lifted to C (constant in every
+    other peeled site), is checked against the full L.
     """
     comp = ergodic_component(gen)
     m = len(comp)
@@ -204,19 +283,29 @@ def spectral_gap(gen: GeneratorOperator) -> Dict[str, float]:
     Lc = gen.L[comp][:, comp]
     mu_c = gen.mu[comp]
     S, d = _symmetrized(Lc, mu_c / mu_c.sum())
-    if m <= 2:
-        evals, evecs = np.linalg.eigh(S.toarray())
-    else:
-        sigma = _SHIFT * float(S.diagonal().max())
-        lu = _spd_factor(S - sigma * sp.identity(m))
-        evals, evecs = spla.eigsh(
-            S, k=2, sigma=sigma, which="LM",
-            OPinv=spla.LinearOperator((m, m), matvec=lu.solve, dtype=float),
-            v0=np.random.default_rng(0).random(m),
-        )
-    order = np.argsort(evals)
-    lam = float(evals[order[1]])
-    v = evecs[:, order[1]] / d
+    q = gen.q
+    legal = _flip_table(gen.L, len(gen.sites))
+    # the level's states as masks over all sites, the peeled bits clear
+    states, peeled = comp, 0
+    # (eigenvalue, eigenvector of -L at its level, states, peeled, sink bit)
+    candidates = []
+    for i in _peel_order(legal):
+        bit = 1 << i
+        keep = np.flatnonzero(states & bit == 0)
+        states, d, S = states[keep], d[keep], S[keep][:, keep]
+        peeled |= bit
+        c = legal[states, i]
+        if c.any():
+            lam, h = _eigenpair(S + sp.diags((1.0 - q) * c), 1, 0.0)
+            candidates.append((lam, h / d, states, peeled, bit))
+            S = S - sp.diags(q * c)
+    if len(states) >= 2:
+        lam, w = _eigenpair(S, 2, _SHIFT * float(S.diagonal().max()))
+        candidates.append((lam, w / d, states, peeled, 0))
+    lam, g, states, peeled, bit = min(candidates, key=lambda t: t[0])
+    v = g[np.searchsorted(states, comp & ~peeled)]
+    if bit:
+        v = v * ((comp & bit != 0) - q)
     residual = float(np.max(np.abs(Lc @ v + lam * v)) / max(1.0, np.max(np.abs(v))))
     if residual > 1e-8:
         raise ArithmeticError(f"eigen residual {residual} exceeds tolerance")

@@ -7,14 +7,20 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
+from kcmlab import exact
 from kcmlab.exact import (
     BFS_CAP,
     ReducibleChainError,
     StateSpaceError,
     UnreachableStatesError,
+    _SHIFT,
     _capped_search,
     _constraint_bit,
+    _eigenpair,
+    _flip_table,
+    _peel_order,
     _site_masks,
+    _symmetrized,
     an_reachability,
     build_generator,
     check_proxy_bound,
@@ -84,6 +90,16 @@ def double_loop_generator(gen, family, exterior):
     L = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
     counts = np.array([bin(s).count("1") for s in range(size)])
     return L, (p ** (n - counts)) * (q ** counts)
+
+
+def dense_spectrum(gen):
+    """Eigenvalues of the dense symmetrized -L on the ergodic component,
+    in ascending order."""
+    comp = ergodic_component(gen)
+    Lc = gen.L[np.ix_(comp, comp)].toarray()
+    d = np.sqrt(gen.mu[comp] / gen.mu[comp].sum())
+    sym = (d[:, None] * (-Lc)) / d[None, :]
+    return np.linalg.eigvalsh(0.5 * (sym + sym.T))
 
 
 class TestGeneratorStructure:
@@ -156,12 +172,7 @@ class TestSpectralGap:
             gens.append(duarte_box_generator(3, 3, q))
             for gen in gens:
                 out = spectral_gap(gen)
-                comp = ergodic_component(gen)
-                Lc = gen.L[np.ix_(comp, comp)].toarray()
-                mu = gen.mu[comp] / gen.mu[comp].sum()
-                d = np.sqrt(mu)
-                sym = (d[:, None] * (-Lc)) / d[None, :]
-                evals = np.linalg.eigvalsh(0.5 * (sym + sym.T))
+                evals = dense_spectrum(gen)
                 assert abs(out["gap"] - evals[1]) <= 1e-9 * evals[1]
                 assert abs(evals[0]) < 1e-10
 
@@ -186,6 +197,120 @@ class TestSpectralGap:
         with pytest.raises(ReducibleChainError):
             spectral_gap(gen)
 
+    def test_degenerate_row_is_reproducible(self):
+        # a Duarte row inside its frozen frame is eleven independent spins:
+        # the gap, 1, is an eigenvalue of multiplicity 11 of the whole chain
+        region = Region.corner(11, 1)
+        gen = build_generator(DUARTE, region, 0.45, exterior=frozen_boundary_for(DUARTE, region))
+        first, second = spectral_gap(gen), spectral_gap(gen)
+        assert first["gap"].hex() == second["gap"].hex()
+        assert first["residual"].hex() == second["residual"].hex()
+        assert abs(first["gap"] - 1.0) < 1e-12
+        assert first["residual"] < 1e-12
+
+
+# a site may flip when one of the two sites a knight's move away is empty;
+# on a 3x3 corner with its frozen frame the state space splits, and some
+# sinks never empty on the component of the all-occupied state
+KNIGHT = UpdateFamily.create("knight", [[(-1, -2)], [(1, 2)]])
+
+
+def whole_component_gap(gen):
+    """The second eigenvalue of S on the whole ergodic component, by the
+    route that ``spectral_gap`` takes for the sites that do not peel."""
+    comp = ergodic_component(gen)
+    mu = gen.mu[comp]
+    S, _ = _symmetrized(gen.L[comp][:, comp], mu / mu.sum())
+    return _eigenpair(S, 2, _SHIFT * float(S.diagonal().max()))[0]
+
+
+def east_gap_mpmath(length, q, digits=40):
+    """Gap of the East chain with its frozen wall, from the dense
+    symmetrized generator in ``digits``-digit arithmetic.  Site 0 is the
+    west end; site i > 0 flips only when site i - 1 is empty."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = digits
+    q = mpmath.mpf(q)
+    p = 1 - q
+    size = 1 << length
+    mu = [q ** bin(s).count("1") * p ** (length - bin(s).count("1")) for s in range(size)]
+    S = mpmath.zeros(size, size)
+    for s in range(size):
+        for i in range(length):
+            bit = 1 << i
+            if i > 0 and not s & (bit >> 1):
+                continue
+            rate = p if s & bit else q
+            S[s, s] += rate
+            S[s, s ^ bit] -= rate * mpmath.sqrt(mu[s] / mu[s ^ bit])
+    return sorted(mpmath.eigsy(S, eigvals_only=True))[1]
+
+
+class TestPeel:
+    """Sinks peeled off before the factorization, against routes that peel
+    nothing."""
+
+    def test_matches_dense_eig_on_small_regions(self):
+        cases = {"mixed": 0, "split": 0, "dead sink": 0}
+        for family in (EAST1, EAST2, DUARTE, KNIGHT):
+            for region in SMALL_REGIONS:
+                for exterior in exteriors(family, region):
+                    gen = build_generator(family, region, 0.3, exterior=exterior)
+                    comp = ergodic_component(gen)
+                    if len(comp) < 2:
+                        continue
+                    n = len(gen.sites)
+                    order = _peel_order(_flip_table(gen.L, n))
+                    cases["mixed"] += 0 < len(order) < n
+                    cases["split"] += len(comp) < len(gen.mu)
+                    # a peeled site that is never empty on the component
+                    cases["dead sink"] += any(not (comp >> i & 1).any() for i in order)
+                    evals = dense_spectrum(gen)
+                    out = spectral_gap(gen)
+                    assert abs(out["gap"] - evals[1]) <= 1e-9 * evals[1]
+                    assert out["residual"] < 1e-12
+        assert min(cases.values()) > 0, cases
+
+    @pytest.mark.parametrize("q", [0.3, 0.05])
+    def test_matches_whole_component_route(self, q):
+        gens = [east_chain_generator(n, q) for n in range(2, 13)]
+        region = Region.corner(3, 3)
+        gens.append(build_generator(EAST2, region, q, exterior=frozen_boundary_for(EAST2, region)))
+        for gen in gens:
+            want = whole_component_gap(gen)
+            assert abs(spectral_gap(gen)["gap"] - want) <= 1e-9 * want
+
+    @pytest.mark.parametrize("q", ["0.3", "0.01"])
+    def test_east_matches_mpmath(self, q):
+        for length in range(1, 7):
+            want = float(east_gap_mpmath(length, q))
+            out = spectral_gap(east_chain_generator(length, float(q)))
+            assert abs(out["gap"] - want) <= 1e-10 * want
+            assert out["residual"] < 1e-12
+
+    def factored_sizes(self, monkeypatch, gen):
+        sizes = []
+        factor = exact._spd_factor
+
+        def recording(A):
+            sizes.append(A.shape[0])
+            return factor(A)
+
+        monkeypatch.setattr(exact, "_spd_factor", recording)
+        spectral_gap(gen)
+        return sizes
+
+    def test_east_factors_half_its_states(self, monkeypatch):
+        gen = east_chain_generator(12, 0.3)
+        assert _peel_order(_flip_table(gen.L, 12)) == list(range(11, -1, -1))
+        sizes = self.factored_sizes(monkeypatch, gen)
+        assert max(sizes) == 2048
+
+    def test_duarte_box_has_no_sink(self, monkeypatch):
+        gen = duarte_box_generator(3, 4, 0.3)
+        assert _peel_order(_flip_table(gen.L, 12)) == []
+        assert self.factored_sizes(monkeypatch, gen) == [4096]
+
 
 def exteriors(family, region):
     return (ALL_HEALTHY, frozen_boundary_for(family, region), ALL_INFECTED)
@@ -198,6 +323,9 @@ SMALL_REGIONS = (
     Region.corner(3, 2),
     Region.corner(3, 3),
     Region([(0, 0), (-1, 0), (-3, 0), (0, -2), (-2, -1)]),
+    # a Duarte 3x2 box, which has no sink, and one site east of its origin
+    # that no Duarte rule of the box reads
+    Region(Region.corner(3, 2).sites | {(1, 0)}),
 )
 
 
