@@ -1,4 +1,4 @@
-"""The monotone bootstrap process: closures, path search, bootstrap times.
+"""The monotone bootstrap process: closures and bootstrap times.
 
 One engine, ``grid_step``, makes one synchronous step on a boolean grid
 with a healthy exterior.  Closures and bootstrap times share one loop that
@@ -9,7 +9,6 @@ synchronous iteration on site sets in the tests is its oracle.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -177,41 +176,6 @@ def closure_free(
                 hi[a] = min(cap, hi[a] + n)
         if not grown:
             return ClosureResult(_grid_sites(infected, lo), rounds, bool(touched))
-
-
-_DUARTE_STEPS: Tuple[Site, ...] = ((1, 0), (0, 1), (0, -1))
-
-
-def duarte_path_exists(
-    closed: Iterable[Site], from_x: int, to_x: int
-) -> Optional[List[Site]]:
-    """Shortest path inside ``closed`` from column x=from_x to column x=to_x
-    using steps {+e1, +e2, -e2}; deterministic neighbour order."""
-    if from_x > to_x:
-        raise ValueError("from column must not exceed to column")
-    closed = frozenset(closed)
-    starts = sorted(s for s in closed if s[0] == from_x)
-    if not starts:
-        return None
-    parent = {s: None for s in starts}
-    queue = deque(starts)
-    while queue:
-        s = queue.popleft()
-        if s[0] == to_x:
-            path = []
-            cur = s
-            while cur is not None:
-                path.append(cur)
-                cur = parent[cur]
-            path.reverse()
-            return path
-        a, b = s
-        for dx, dy in _DUARTE_STEPS:
-            n = (a + dx, b + dy)
-            if n in closed and n not in parent:
-                parent[n] = s
-                queue.append(n)
-    return None
 
 
 # ---------------------------------------------------------------------------

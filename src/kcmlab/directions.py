@@ -10,7 +10,7 @@ vectors.  No floating point enters any comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cmp_to_key
 from math import gcd
 from typing import List, Tuple
@@ -102,7 +102,6 @@ class StableDirectionReport:
     arcs: Tuple[Arc, ...]
     full_circle: bool
     classification: str
-    tangent_points: Tuple[Vec, ...] = field(default=())
 
 
 def _candidate_directions(family: UpdateFamily) -> List[Vec]:
@@ -161,14 +160,7 @@ def stable_directions(family: UpdateFamily) -> StableDirectionReport:
         arcs.append(Arc(elements[first][1], elements[last][1]))
 
     arcs.sort(key=lambda a: _angular_key(a.start))
-    tangent = tuple(a.start for a in arcs if a.is_point)
-    classification = _classify(arcs)
-    return StableDirectionReport(
-        arcs=tuple(arcs),
-        full_circle=False,
-        classification=classification,
-        tangent_points=tangent,
-    )
+    return StableDirectionReport(arcs=tuple(arcs), full_circle=False, classification=_classify(arcs))
 
 
 def _gap_at_least_pi(end: Vec, start: Vec, full: bool) -> bool:

@@ -16,18 +16,20 @@ the pass and the crossing event B2 read: one Python int per column, one
 bit per site, caps included (a set bit is an empty site).  The pass heals
 a column by setting its int to 0.  Both close a window by a single
 west-to-east sweep with a 1-D bit fixed point per column (the Duarte
-rules never look east).
-``bootstrap.closure_region`` is the general engine and the tests' oracle.
+rules never look east).  B2 closes one window per start column and
+searches its masks for a path breadth first, node by node as (column,
+bit).  ``bootstrap.closure_region`` is the general engine and, with the
+site-set path search in the tests, the oracle.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bootstrap import duarte_path_exists
 # Not called here; kept bound because the traced benchmark patches it here.
 from .bootstrap import closure_region  # noqa: F401
 from .families import builtin_family
@@ -47,7 +49,6 @@ MAX_SITES = 1 << 22
 @dataclass(frozen=True)
 class DuarteScales:
     q: float
-    eps: float
     ell: int
     N: int
     n1: int
@@ -60,8 +61,8 @@ class DuarteScales:
 
     @classmethod
     def toy(cls, ell: int, N: int, n1: int = 1, n2: int = 1,
-            q: float = 0.5, eps: float = 0.1) -> "DuarteScales":
-        return cls(q=q, eps=eps, ell=ell, N=N, n1=n1, n2=n2)
+            q: float = 0.5) -> "DuarteScales":
+        return cls(q=q, ell=ell, N=N, n1=n1, n2=n2)
 
 
 class ColumnGeometry:
@@ -112,7 +113,6 @@ class DropletRecord:
 class ArrowProfile:
     phi: Tuple[str, ...]
     droplets: Dict[int, DropletRecord]
-    history: Tuple[Tuple[int, ...], ...] = ()  # column masks before the pass and after each column
 
     @property
     def n_up(self) -> int:
@@ -207,9 +207,7 @@ def run_droplet_algorithm(
     in column k.  The cut test is non-increasing in xi, so a binary search
     finds xi_k exactly: for xi < xi', V_{xi',k} lies in V_{xi,k}, whose
     sites west of column xi' may be infected where V_{xi',k} has a healthy
-    wall, and a closure only grows when more sites may be infected.  The
-    profile's history holds the masks before the first column and after
-    each column.
+    wall, and a closure only grows when more sites may be infected.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -218,7 +216,6 @@ def run_droplet_algorithm(
     masks = list(masks)
     phi: List[str] = []
     droplets: Dict[int, DropletRecord] = {}
-    history = [tuple(masks)]
 
     for k in range(1, geometry.N + 1):
         def holds(xi: int) -> bool:
@@ -238,14 +235,48 @@ def run_droplet_algorithm(
             phi.append(UP)
         else:
             phi.append(DOWN)
-        history.append(tuple(masks))
 
-    return ArrowProfile(phi=tuple(phi), droplets=droplets, history=tuple(history))
+    return ArrowProfile(phi=tuple(phi), droplets=droplets)
 
 
 def event_B1(profile: ArrowProfile, n: int) -> bool:
     """At least n up arrows."""
     return profile.n_up >= n
+
+
+def _crossing(
+    geometry: ColumnGeometry, i: int, closed: Sequence[int]
+) -> Optional[List[Site]]:
+    """Shortest path with steps +e1, +e2, -e2 through the set bits of the
+    closed masks of columns i, i + 1, ..., from the first column to the
+    last, caps excluded; None if there is none.
+
+    Breadth first over (column offset, bit) nodes: the starts in ascending
+    y, the neighbours in the order +e1 (bit b to bit b - N of the next
+    column, which is N sites shorter on each side), +e2, -e2, and the
+    first node dequeued in the last column ends the search.
+    """
+    N = geometry.N
+    heights = [geometry.height(c) for c in range(i, i + len(closed))]
+    cols = [m & ((1 << 2 * h) - 2) for m, h in zip(closed, heights)]
+    last = len(cols) - 1
+    starts = [(0, b) for b in range(1, 2 * heights[0]) if cols[0] >> b & 1]
+    parent = dict.fromkeys(starts)
+    queue = deque(starts)
+    while queue:
+        node = queue.popleft()
+        c, b = node
+        if c == last:
+            path = []
+            while node is not None:
+                path.append((geometry.column_x(i + node[0]), node[1] - heights[node[0]]))
+                node = parent[node]
+            return path[::-1]
+        for nxt in ((c + 1, b - N), (c, b + 1), (c, b - 1)):
+            if nxt[1] > 0 and cols[nxt[0]] >> nxt[1] & 1 and nxt not in parent:
+                parent[nxt] = node
+                queue.append(nxt)
+    return None
 
 
 def event_B2(
@@ -254,30 +285,26 @@ def event_B2(
     geometry: ColumnGeometry,
     n: int,
 ) -> Optional[Tuple[int, int, List[Site]]]:
-    """First (i, j, path) witness of a crossing over down-arrow columns.
+    """First (i, j, path) witness of a crossing over down-arrow columns: a
+    path with steps +e1, +-e2 from column i to column j, j - i >= n - 1,
+    with all arrows down on [i, j], through the closure of the masks'
+    empties inside V_{i,j} under a healthy west wall and empty caps.
 
-    Scans i < j with j - i >= n - 1 and all arrows down on [i, j]; for each
-    window the closure of the masks' empties inside V_{i,j} is taken with
-    a healthy left wall and empty caps, and searched for a rightward path.
+    Only the shortest window, j0 = max(i + 1, i + n - 1), is searched for
+    each i.  The Duarte rules never read east, so for j > j0 the closure
+    on V_{i,j} restricted to columns i..j0 is the closure on V_{i,j0}.  A
+    path from column i to column j > j0 moves east one column at a time,
+    so it passes column j0, and its part up to there lies in the V_{i,j0}
+    closure.  So if no path reaches column j0, none reaches a later
+    column, and if one does, (i, j0) is the first witness for this i.
     """
     for i in range(1, geometry.N + 1):
-        if profile.phi[i - 1] == UP:
+        j = max(i + 1, i + n - 1)
+        if j > geometry.N or UP in profile.phi[i - 1 : j]:
             continue
-        for j in range(i + 1, geometry.N + 1):
-            if profile.phi[j - 1] == UP:
-                break
-            if j - i < n - 1:
-                continue
-            closed = _window_closure(geometry, i, j, masks)
-            sites = [
-                (geometry.column_x(c), b - geometry.height(c))
-                for c, m in enumerate(closed, start=i)
-                for b in range(1, 2 * geometry.height(c))
-                if m >> b & 1
-            ]
-            path = duarte_path_exists(sites, geometry.column_x(i), geometry.column_x(j))
-            if path is not None:
-                return (i, j, path)
+        path = _crossing(geometry, i, _window_closure(geometry, i, j, masks))
+        if path is not None:
+            return (i, j, path)
     return None
 
 
@@ -288,7 +315,6 @@ class TrajectoryReport:
     max_n_up: int
     max_range: int
     samples: int
-    sample_interval: float
 
 
 def monitor_trajectory(
@@ -316,7 +342,6 @@ def monitor_trajectory(
         max_n_up=0,
         max_range=0,
         samples=len(grid),
-        sample_interval=sample_interval,
     )
     if not grid:
         return report

@@ -1,10 +1,11 @@
 """Reference implementations that only the tests call.
 
 Each is an oracle, a checker or a thin wrapper that a test compares the
-program against: the synchronous bootstrap step, configurations with the
-site-by-site constraint check, the full-scan capped search, the droplet
-invariants, membership in a stable set, single KCM trials, and the paper's
-asymptotic scales and coarse-grained paths.
+program against: the synchronous bootstrap step, the site-set path search,
+configurations with the site-by-site constraint check, the full-scan
+capped search, the droplet pass and crossing event on site sets with the
+droplet invariants, membership in a stable set, single KCM trials, and the
+paper's asymptotic scales and coarse-grained paths.
 """
 
 from __future__ import annotations
@@ -14,16 +15,17 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from kcmlab import kcm
+from kcmlab.bootstrap import closure_region
 from kcmlab.directions import StableDirectionReport, Vec, _ccw_cat, _cross, _primitive
-from kcmlab.droplets import UP, ArrowProfile, ColumnGeometry, DuarteScales
+from kcmlab.droplets import DOWN, UP, ArrowProfile, ColumnGeometry, DropletRecord, DuarteScales
 from kcmlab.droplets import column_masks, run_droplet_algorithm
 from kcmlab.exact import StateSpaceError, _constraint_bit, _site_masks
-from kcmlab.families import UpdateFamily
+from kcmlab.families import UpdateFamily, builtin_family
 from kcmlab.geometry import (
     ALL_HEALTHY,
     ALL_INFECTED,
@@ -31,8 +33,11 @@ from kcmlab.geometry import (
     Region,
     Site,
     derive_rng,
+    outer_boundary,
     sample_occupation,
 )
+
+DUARTE = builtin_family("duarte")
 
 
 # --- bootstrap ---------------------------------------------------------------
@@ -62,6 +67,41 @@ def synchronous_step(
                 new.add(x)
                 break
     return frozenset(new)
+
+
+_DUARTE_STEPS: Tuple[Site, ...] = ((1, 0), (0, 1), (0, -1))
+
+
+def duarte_path_exists(
+    closed: Iterable[Site], from_x: int, to_x: int
+) -> Optional[List[Site]]:
+    """Shortest path inside ``closed`` from column x=from_x to column x=to_x
+    using steps {+e1, +e2, -e2}; deterministic neighbour order."""
+    if from_x > to_x:
+        raise ValueError("from column must not exceed to column")
+    closed = frozenset(closed)
+    starts = sorted(s for s in closed if s[0] == from_x)
+    if not starts:
+        return None
+    parent = {s: None for s in starts}
+    queue = deque(starts)
+    while queue:
+        s = queue.popleft()
+        if s[0] == to_x:
+            path = []
+            cur = s
+            while cur is not None:
+                path.append(cur)
+                cur = parent[cur]
+            path.reverse()
+            return path
+        a, b = s
+        for dx, dy in _DUARTE_STEPS:
+            n = (a + dx, b + dy)
+            if n in closed and n not in parent:
+                parent[n] = s
+                queue.append(n)
+    return None
 
 
 # --- configurations ----------------------------------------------------------
@@ -249,7 +289,7 @@ def scales_from_formulas(q: float, eps: float) -> DuarteScales:
         warnings.warn("N exceeds 2^64; these scales are not materializable")
     if min(ell, big_n, n1, n2) < 1:
         raise ValueError("degenerate scales; use explicit toy values")
-    return DuarteScales(q=q, eps=eps, ell=ell, N=big_n, n1=n1, n2=n2)
+    return DuarteScales(q=q, ell=ell, N=big_n, n1=n1, n2=n2)
 
 
 def window(geometry: ColumnGeometry, i: int, j: int) -> Region:
@@ -330,19 +370,105 @@ def check_droplet_disjointness(profile: ArrowProfile) -> bool:
     return all(k < xi for (_, k), (xi, _) in zip(spans, spans[1:]))
 
 
-def check_restriction_identity(profile: ArrowProfile) -> bool:
+def check_restriction_identity(
+    history: Sequence[Sequence[int]], droplets: Dict[int, DropletRecord]
+) -> bool:
     """Off the union of droplets, every recorded state equals the initial one:
     after column `step`, each column outside the droplets with k <= step
-    still has its initial mask."""
-    if not profile.history:
-        raise ValueError("profile has no history")
-    first = profile.history[0]
-    for step, masks in enumerate(profile.history[1:], start=1):
-        spans = [(r.xi, r.k) for r in profile.droplets.values() if r.k <= step]
+    still has its initial mask.  ``history`` holds the column masks before
+    the pass and after each column, as ``reference_pass`` records them."""
+    if not history:
+        raise ValueError("empty history")
+    first = history[0]
+    for step, masks in enumerate(history[1:], start=1):
+        spans = [(r.xi, r.k) for r in droplets.values() if r.k <= step]
         for c, (m0, m) in enumerate(zip(first, masks), start=1):
             if m != m0 and not any(xi <= c <= k for xi, k in spans):
                 return False
     return True
+
+
+def column_caps(geometry: ColumnGeometry, i: int) -> Set[Site]:
+    """The two cap sites of column i, just above and below it."""
+    x, h = geometry.column_x(i), geometry.height(i)
+    return {(x, h), (x, -h)}
+
+
+def encode(geometry: ColumnGeometry, empties, tau) -> List[int]:
+    """(empties, tau) as the pass's column masks, written out site by site:
+    bit y + h_c of entry c - 1 is set when (x_c, y) is empty, or is a cap
+    whose tau is 0."""
+    masks = []
+    for c in range(1, geometry.N + 1):
+        x, h = geometry.column_x(c), geometry.height(c)
+        masks.append(sum(1 << (y + h) for y in range(-h, h + 1)
+                         if (x, y) in empties or tau.get((x, y), 1) == 0))
+    return masks
+
+
+def window_closure(geometry: ColumnGeometry, i: int, j: int, empties, tau) -> FrozenSet[Site]:
+    """closure_region on V_{i,j}, boundary read from tau (healthy when absent)."""
+    v = window(geometry, i, j)
+    bc = BoundaryCondition(v, {s: tau.get(s, 1) for s in outer_boundary(v)})
+    return closure_region(DUARTE, v, bc, empties & v.sites).closed
+
+
+def reference_pass(geometry: ColumnGeometry, empties: FrozenSet[Site], ell: int):
+    """The droplet pass with every cut tested by closure_region and a
+    linear scan over the cuts.  Returns phi, the droplets, and the history:
+    the (empties, tau) state before the pass and after each column, encoded
+    as column masks."""
+    g = geometry
+    tau = dict(g.initial_tau().assignment)
+    phi, drops = [], {}
+    history = [tuple(encode(g, empties, tau))]
+    for k in range(1, g.N + 1):
+        x, h = g.column_x(k), g.height(k)
+
+        def holds(xi):
+            closed = window_closure(g, xi, k, empties, tau)
+            best = run = 0
+            for y in range(-h, h + 1):
+                filled = (x, y) in closed or tau.get((x, y), 1) == 0
+                run = run + 1 if filled else 0
+                best = max(best, run)
+            return best >= ell
+
+        cuts = [xi for xi in range(1, k + 1) if holds(xi)]
+        if cuts:
+            xi = max(cuts)
+            for i in range(xi, k + 1):
+                empties = empties - g.columns[i]
+                tau.update({c: 1 for c in column_caps(g, i)})
+            drops[k] = DropletRecord(k=k, xi=xi, range=k - xi)
+        phi.append(UP if cuts else DOWN)
+        history.append(tuple(encode(g, empties, tau)))
+    return tuple(phi), drops, tuple(history)
+
+
+def reference_b2(geometry: ColumnGeometry, empties: FrozenSet[Site], phi: Sequence[str], n: int):
+    """The crossing event B2 as a scan over every window (i, j) with
+    j - i >= n - 1 and all arrows down on [i, j], in the order i, then j:
+    each closed by closure_region on V_{i,j} under the initial split
+    boundary and searched by ``duarte_path_exists``.  Returns the first
+    (i, j, path) witness or None, and the list of windows searched."""
+    g = geometry
+    tau = g.initial_tau().assignment
+    searched = []
+    for i in range(1, g.N + 1):
+        if phi[i - 1] == UP:
+            continue
+        for j in range(i + 1, g.N + 1):
+            if phi[j - 1] == UP:
+                break
+            if j - i < n - 1:
+                continue
+            searched.append((i, j))
+            path = duarte_path_exists(window_closure(g, i, j, empties, tau),
+                                      g.column_x(i), g.column_x(j))
+            if path is not None:
+                return (i, j, path), searched
+    return None, searched
 
 
 def estimate_uparrow_density(

@@ -45,6 +45,7 @@ from reference import (
     check_droplet_disjointness,
     check_restriction_identity,
     is_stable,
+    reference_pass,
     synchronous_step,
     window,
 )
@@ -212,14 +213,18 @@ def test_05_east_barrier_log_law():
 
 
 def test_06_droplet_lemmas_toy_scale(rng):
-    # disjointness and the restriction identity, 200 random configurations
+    # disjointness and the restriction identity, 200 random configurations;
+    # the identity is read off the reference pass's history, whose phi and
+    # droplets are the program's
     g = ColumnGeometry(6)
     sites = sorted(g.region.sites)
     for _ in range(200):
-        empties = {s for s in sites if rng.random() < 0.25}
+        empties = frozenset(s for s in sites if rng.random() < 0.25)
         p = profile_of(g, empties, 3)
+        phi, drops, history = reference_pass(g, empties, 3)
+        assert (p.phi, p.droplets) == (phi, drops)
         assert check_droplet_disjointness(p)
-        assert check_restriction_identity(p)
+        assert check_restriction_identity(history, drops)
 
     # East-like motion (a): 500 one-step-unconstrained flips
     tau = dict(g.initial_tau().assignment)

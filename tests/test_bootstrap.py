@@ -9,7 +9,6 @@ from kcmlab.bootstrap import (
     bootstrap_time_on_grid,
     closure_free,
     closure_region,
-    duarte_path_exists,
     grid_step,
     median_bootstrap_time,
 )
@@ -17,7 +16,7 @@ from kcmlab.families import UpdateFamily, builtin_family
 from kcmlab.geometry import BoundaryCondition, Region
 
 from conftest import random_family, random_region, random_seed_set, random_tau
-from reference import synchronous_step
+from reference import duarte_path_exists, synchronous_step
 
 DUARTE = builtin_family("duarte")
 EAST1 = builtin_family("east1d")

@@ -46,7 +46,7 @@ class TestStableSets:
         stable = [u for u in primitive_directions(7) if is_stable(report, u)]
         assert set(stable) == {(-1, 0), (0, -1)}
         assert report.classification == SUPERCRITICAL_ROOTED
-        assert set(report.tangent_points) == {(-1, 0), (0, -1)}
+        assert {a.start for a in report.arcs if a.is_point} == {(-1, 0), (0, -1)}
 
     def test_duarte_left_half_plus_east_point(self):
         report = stable_directions(builtin_family("duarte"))

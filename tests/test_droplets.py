@@ -19,23 +19,26 @@ from kcmlab.droplets import (
     monitor_trajectory,
     run_droplet_algorithm,
 )
-from kcmlab.families import builtin_family
 from kcmlab.geometry import BoundaryCondition, BoundaryExterior, outer_boundary
 from kcmlab.kcm import SimParams, make_dynamics, observe_trajectory
 
 from reference import (
+    DUARTE,
     block_count,
     block_size,
     check_droplet_disjointness,
     check_restriction_identity,
+    column_caps,
+    encode,
     estimate_uparrow_density,
     eta_project,
+    reference_b2,
+    reference_pass,
     scales_from_formulas,
     validate_coarse_path,
     window,
+    window_closure,
 )
-
-DUARTE = builtin_family("duarte")
 
 
 def masks_of(geometry, empties):
@@ -45,24 +48,6 @@ def masks_of(geometry, empties):
 
 def profile_of(geometry, empties, ell):
     return run_droplet_algorithm(masks_of(geometry, empties), geometry, ell)
-
-
-def column_caps(geometry, i):
-    """The two cap sites of column i, just above and below it."""
-    x, h = geometry.column_x(i), geometry.height(i)
-    return {(x, h), (x, -h)}
-
-
-def encode(geometry, empties, tau):
-    """(empties, tau) as the pass's column masks, written out site by site:
-    bit y + h_c of entry c - 1 is set when (x_c, y) is empty, or is a cap
-    whose tau is 0."""
-    masks = []
-    for c in range(1, geometry.N + 1):
-        x, h = geometry.column_x(c), geometry.height(c)
-        masks.append(sum(1 << (y + h) for y in range(-h, h + 1)
-                         if (x, y) in empties or tau.get((x, y), 1) == 0))
-    return masks
 
 
 def one_step_unconstrained(geometry, empties, tau, x):
@@ -219,7 +204,8 @@ class TestDropletAlgorithm:
     def test_binary_search_matches_linear_scan(self, rng):
         # each up column's cut is the largest xi that passes the cut test on
         # the masks the pass saw, found here by scanning every xi; a down
-        # column passes for no xi
+        # column passes for no xi.  Column k saw the input masks with the
+        # droplets of the columns before it healed.
         geometries = {}
         cut = 0
         for _ in range(300):
@@ -227,9 +213,11 @@ class TestDropletAlgorithm:
             g = geometries.setdefault(N, ColumnGeometry(N))
             q = float(rng.uniform(0.05, 0.5))
             ell = int(rng.integers(1, 9))
-            p = profile_of(g, {s for s in sorted(g.region.sites) if rng.random() < q}, ell)
+            given = masks_of(g, {s for s in sorted(g.region.sites) if rng.random() < q})
+            p = run_droplet_algorithm(given, g, ell)
             for k in range(1, N + 1):
-                masks = p.history[k - 1]
+                masks = [0 if any(r.xi <= c <= r.k < k for r in p.droplets.values()) else m
+                         for c, m in enumerate(given, start=1)]
                 passing = [xi for xi in range(1, k + 1)
                            if _column_has_long_interval(g, xi, k, masks, ell)]
                 if k in p.droplets:
@@ -253,22 +241,25 @@ class TestDropletAlgorithm:
         assert not check_droplet_disjointness(ArrowProfile((DOWN, UP, UP), overlap))
 
     def test_restriction_identity_random(self, rng):
+        # the identity on the reference pass's history, whose phi and
+        # droplets are the program's
         g = ColumnGeometry(4)
         sites = sorted(g.region.sites)
         for _ in range(30):
-            empties = {s for s in sites if rng.random() < 0.3}
+            empties = frozenset(s for s in sites if rng.random() < 0.3)
             p = profile_of(g, empties, 2)
-            assert len(p.history) == g.N + 1
-            assert check_restriction_identity(p)
+            phi, drops, history = reference_pass(g, empties, 2)
+            assert (p.phi, p.droplets) == (phi, drops)
+            assert len(history) == g.N + 1
+            assert check_restriction_identity(history, drops)
             # a column outside every droplet that changes breaks the identity
             outside = [c for c in range(1, 5)
-                       if not any(r.xi <= c <= r.k for r in p.droplets.values())]
+                       if not any(r.xi <= c <= r.k for r in drops.values())]
             if outside:
                 c = outside[0]
-                bad = [list(m) for m in p.history]
+                bad = [list(m) for m in history]
                 bad[-1][c - 1] ^= 2
-                tampered = ArrowProfile(p.phi, p.droplets, tuple(map(tuple, bad)))
-                assert not check_restriction_identity(tampered)
+                assert not check_restriction_identity(bad, drops)
 
     def test_prefix_locality(self, rng):
         # the first k arrows only depend on the empties in columns 1..k
@@ -300,13 +291,6 @@ class TestColumnMasks:
 
 class TestColumnSweep:
     @staticmethod
-    def oracle(g, i, j, empties, tau):
-        """closure_region on V_{i,j}, boundary read from tau (healthy when absent)."""
-        v = window(g, i, j)
-        bc = BoundaryCondition(v, {s: tau.get(s, 1) for s in outer_boundary(v)})
-        return closure_region(DUARTE, v, bc, empties & v.sites).closed
-
-    @staticmethod
     def sweep(g, i, j, empties, tau):
         """The sweep's closed masks as region sites, and the cap bits as a
         dict from cap site to whether its bit is set.  A cap with tau 1 is
@@ -334,7 +318,7 @@ class TestColumnSweep:
             j = int(rng.integers(1, N + 1))
             i = int(rng.integers(1, j + 1))
             sites, caps = self.sweep(g, i, j, empties, tau)
-            assert sites == self.oracle(g, i, j, empties, tau), (N, i, j)
+            assert sites == window_closure(g, i, j, empties, tau), (N, i, j)
             assert caps == {c: tau[c] == 0 for c in caps}
 
     @pytest.mark.parametrize("end", [-1, 1])
@@ -348,38 +332,7 @@ class TestColumnSweep:
         empties = frozenset(g.columns[1] | {(x2, end * (h2 - 1))})
         sites, _ = self.sweep(g, 1, 2, empties, tau)
         assert g.columns[2] <= sites
-        assert sites == self.oracle(g, 1, 2, empties, tau)
-
-    @staticmethod
-    def reference_pass(g, empties, ell):
-        """The droplet pass with every cut tested by closure_region and a
-        linear scan over the cuts; its (empties, tau) history is encoded as
-        column masks."""
-        tau = dict(g.initial_tau().assignment)
-        phi, drops = [], {}
-        history = [tuple(encode(g, empties, tau))]
-        for k in range(1, g.N + 1):
-            x, h = g.column_x(k), g.height(k)
-
-            def holds(xi):
-                closed = TestColumnSweep.oracle(g, xi, k, empties, tau)
-                best = run = 0
-                for y in range(-h, h + 1):
-                    filled = (x, y) in closed or tau.get((x, y), 1) == 0
-                    run = run + 1 if filled else 0
-                    best = max(best, run)
-                return best >= ell
-
-            cuts = [xi for xi in range(1, k + 1) if holds(xi)]
-            if cuts:
-                xi = max(cuts)
-                for i in range(xi, k + 1):
-                    empties = empties - g.columns[i]
-                    tau.update({c: 1 for c in column_caps(g, i)})
-                drops[k] = DropletRecord(k=k, xi=xi, range=k - xi)
-            phi.append(UP if cuts else DOWN)
-            history.append(tuple(encode(g, empties, tau)))
-        return tuple(phi), drops, tuple(history)
+        assert sites == window_closure(g, 1, 2, empties, tau)
 
     def test_pass_equals_reference_pass(self, rng):
         geometries = {}
@@ -391,7 +344,7 @@ class TestColumnSweep:
             ell = int(rng.integers(1, 9))
             empties = frozenset(s for s in sorted(g.region.sites) if rng.random() < q)
             p = profile_of(g, empties, ell)
-            assert (p.phi, p.droplets, p.history) == self.reference_pass(g, empties, ell)
+            assert (p.phi, p.droplets) == reference_pass(g, empties, ell)[:2]
             ups += p.n_up
             wide += sum(1 for r in p.droplets.values() if r.range >= 1)
         assert ups >= 100 and wide >= 5
@@ -550,6 +503,43 @@ class TestCrossingEvents:
             assert (b[0] - a[0], b[1] - a[1]) in {(1, 0), (0, 1), (0, -1)}
         assert event_B2(masks, p, g, 6) is None
 
+    def test_b2_equals_full_window_scan(self, rng):
+        # the single window per start column and the mask search against
+        # the scan over every window, each closed by closure_region and
+        # searched on site sets
+        geometries = {}
+        witnesses = cut = rescanned = 0
+        for _ in range(300):
+            N = int(rng.integers(2, 9))
+            g = geometries.setdefault(N, ColumnGeometry(N))
+            q = float(rng.uniform(0.05, 0.6))
+            n = int(rng.integers(1, N + 2))
+            ell = int(rng.integers(1, 17))  # ell > 2 h_k + 1 keeps column k down
+            empties = frozenset(s for s in sorted(g.region.sites) if rng.random() < q)
+            masks = masks_of(g, empties)
+            p = run_droplet_algorithm(masks, g, ell)
+            got = event_B2(masks, p, g, n)
+            want, searched = reference_b2(g, empties, p.phi, n)
+            assert got == want, (N, n, sorted(empties))
+            witnesses += got is not None
+            for i in range(1, (got[0] if got else N) + 1):  # the start columns event_B2 saw
+                j0 = max(i + 1, i + n - 1)
+                cut += j0 <= N and UP in p.phi[i - 1 : j0]
+            starts = [i for i, _ in searched]
+            rescanned += sum(1 for i in set(starts) if starts.count(i) > 1)
+        assert witnesses >= 30 and cut >= 30 and rescanned >= 10, (witnesses, cut, rescanned)
+
+    def test_witness_steps_east_first(self):
+        # two shortest paths, both with one +e2 step, around the cap of the
+        # last column at y = -4: the search tries +e1 before +e2, so the
+        # witness climbs as late as it can
+        g = ColumnGeometry(4)
+        empties = frozenset({(-3, -4), (-2, -4), (-2, -3), (-1, -4), (-1, -3), (0, -3)})
+        p = profile_of(g, empties, 50)
+        want = (1, 4, [(-3, -4), (-2, -4), (-1, -4), (-1, -3), (0, -3)])
+        assert event_B2(masks_of(g, empties), p, g, 4) == want
+        assert reference_b2(g, empties, p.phi, 4) == (want, [(1, 4)])
+
     def test_up_arrows_block_windows(self):
         g = ColumnGeometry(4)
         empties = {(g.column_x(i), 0) for i in range(1, 5)} | set(g.columns[2])
@@ -691,12 +681,13 @@ class TestTrajectories:
     def test_monitor_matches_set_route(self, monkeypatch):
         # every state the monitor observes, rebuilt as a set of empties and
         # taken through the set route (encode, the reference pass, B2 on the
-        # encoded masks), gives the monitor's phi, droplets and B2 witness
+        # encoded masks), gives the monitor's masks, phi, droplets and B2
+        # witness
         import kcmlab.droplets as droplets
 
         observe, run_pass, b2 = (droplets.observe_trajectory,
                                  droplets.run_droplet_algorithm, droplets.event_B2)
-        seen = []  # per observed state: its empties, profile and B2 witness if B2 ran
+        seen = []  # per observed state: its empties, the pass's masks and profile, and B2's witness if B2 ran
 
         def observe_spy(params, grid, observer, dyn):
             def spy(t, state):
@@ -704,26 +695,28 @@ class TestTrajectories:
                 observer(t, state)
             return observe(params, grid, spy, dyn=dyn)
 
-        def record(f):
-            def call(*args):
-                seen[-1].append(f(*args))
-                return seen[-1][-1]
-            return call
+        def record_pass(masks, *args):
+            seen[-1] += [list(masks), run_pass(masks, *args)]
+            return seen[-1][-1]
+
+        def record_b2(*args):
+            seen[-1].append(b2(*args))
+            return seen[-1][-1]
 
         monkeypatch.setattr(droplets, "observe_trajectory", observe_spy)
-        monkeypatch.setattr(droplets, "run_droplet_algorithm", record(run_pass))
-        monkeypatch.setattr(droplets, "event_B2", record(b2))
+        monkeypatch.setattr(droplets, "run_droplet_algorithm", record_pass)
+        monkeypatch.setattr(droplets, "event_B2", record_b2)
         g = ColumnGeometry(4)
         scales = DuarteScales.toy(ell=6, N=4, n2=2, q=0.3)
         for seed in range(8):
             monitor_trajectory(scales, t_max=3.0, sample_interval=0.25, seed=seed, geometry=g)
         tau = g.initial_tau().assignment
         wide = b2_calls = crossings = 0
-        for empties, profile, *witness in seen:
+        for empties, seen_masks, profile, *witness in seen:
             masks = encode(g, empties, tau)
-            phi, drops, _ = TestColumnSweep.reference_pass(g, frozenset(empties), scales.ell)
+            phi, drops, _ = reference_pass(g, frozenset(empties), scales.ell)
             assert (profile.phi, profile.droplets) == (phi, drops)
-            assert profile.history[0] == tuple(masks)
+            assert seen_masks == masks
             if witness:
                 assert witness == [b2(masks, profile, g, scales.n2)]
                 b2_calls += 1

@@ -1,7 +1,8 @@
 """Every top-level name and method in ``src/kcmlab`` is reached by the
 program: some code in ``src/`` or ``bench/`` outside its own definition
-refers to it, or it is a CLI command.  Reference code that only tests call
-lives in ``tests/reference.py``.
+refers to it, or it is a CLI command.  Every field of a dataclass there is
+read: some code in ``src/`` or ``bench/`` loads an attribute of that name.
+Reference code that only tests call lives in ``tests/reference.py``.
 
 References are read from the syntax tree: a name or an attribute.  A
 method counts only through an attribute.  Imports alone and the re-exports
@@ -69,18 +70,39 @@ def _definitions():
     return out
 
 
+def _is_dataclass(node):
+    """Whether a class is decorated ``@dataclass`` or ``@dataclass(...)``."""
+    for d in node.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if isinstance(d, ast.Name) and d.id == "dataclass":
+            return True
+    return False
+
+
+def _fields():
+    """(module, Class.field) for every field of a dataclass in src/kcmlab."""
+    out = []
+    for path in _py_files(SRC):
+        module = os.path.basename(path)[:-3]
+        for node in _parse(path).body:
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                out.extend((module, f"{node.name}.{sub.target.id}") for sub in node.body
+                           if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name))
+    return out
+
+
 def _references():
-    """(path, name, line, via attribute) for every reference in src/kcmlab
-    (but its __init__) and bench/."""
+    """(path, name, line, via attribute, loaded) for every reference in
+    src/kcmlab (but its __init__) and bench/."""
     refs = []
     for path in _py_files(SRC) + _py_files(BENCH):
         if os.path.basename(path) == "__init__.py" and path.startswith(SRC):
             continue
         for node in ast.walk(_parse(path)):
-            if isinstance(node, ast.Name):
-                refs.append((path, node.id, node.lineno, False))
-            elif isinstance(node, ast.Attribute):
-                refs.append((path, node.attr, node.lineno, True))
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                via_attr = isinstance(node, ast.Attribute)
+                refs.append((path, node.attr if via_attr else node.id, node.lineno, via_attr,
+                             isinstance(node.ctx, ast.Load)))
     return refs
 
 
@@ -110,13 +132,15 @@ def _unreached():
         reached = any(
             ref == short and (via_attr or not is_method)
             and not (where == path and first <= line <= last)
-            for where, ref, line, via_attr in refs
+            for where, ref, line, via_attr, _ in refs
         )
         if reached or _is_cli_command(module, name):
             continue
         if is_method and _overrides_outside_base(module, name):
             continue
         missing.append(f"{module}.{name}")
+    read = {name for _, name, _, via_attr, load in refs if via_attr and load}
+    missing += [f"{module}.{name}" for module, name in _fields() if name.split(".")[-1] not in read]
     return missing
 
 
