@@ -4,16 +4,21 @@ A unit direction u is stable when every rule has a site x with <x,u> >= 0,
 so no single rule can eat into the half-plane below u.  The destabilized
 set is a finite union of open arcs whose endpoints are perpendiculars of
 rule sites; stability is therefore constant between consecutive candidate
-directions, and the whole computation reduces to sign tests on integer
-vectors.  No floating point enters any comparison.
+directions.  So the circle is sampled once, counterclockwise: each
+candidate, then one direction of the open gap after it.  The stable set is
+closed, so every maximal run of stable samples begins and ends at a
+candidate, and those two candidates bound one stable arc.  No floating
+point enters any comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
+from fractions import Fraction
+from itertools import groupby
 from math import gcd
-from typing import List, Tuple
+from operator import itemgetter
+from typing import List, Sequence, Tuple
 
 from .families import UpdateFamily
 
@@ -36,35 +41,6 @@ def _cross(a: Vec, b: Vec) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _dot(a: Vec, b: Vec) -> int:
-    return a[0] * b[0] + a[1] * b[1]
-
-
-def _neg(v: Vec) -> Vec:
-    return (-v[0], -v[1])
-
-
-def _rot90(v: Vec) -> Vec:
-    return (-v[1], v[0])
-
-
-def _half(v: Vec) -> int:
-    """0 for directions in [0, pi) counterclockwise from +e1, 1 otherwise."""
-    x, y = v
-    return 0 if (y > 0 or (y == 0 and x > 0)) else 1
-
-
-def _angular_cmp(a: Vec, b: Vec) -> int:
-    """Total order on primitive directions, counterclockwise from +e1."""
-    if _half(a) != _half(b):
-        return _half(a) - _half(b)
-    c = _cross(a, b)
-    return (c < 0) - (c > 0)
-
-
-_angular_key = cmp_to_key(_angular_cmp)
-
-
 def _ccw_cat(anchor: Vec, w: Vec) -> int:
     """Coarse position of w relative to anchor, counterclockwise.
 
@@ -76,12 +52,18 @@ def _ccw_cat(anchor: Vec, w: Vec) -> int:
         return 1
     if c < 0:
         return 3
-    return 0 if _dot(anchor, w) > 0 else 2
+    return 0 if anchor[0] * w[0] + anchor[1] * w[1] > 0 else 2
+
+
+def _angle_from_e1(v: Vec) -> Tuple[int, Fraction]:
+    """Sort key: the counterclockwise angle from +e1.  Within each open
+    half-plane, y > 0 and y < 0, the angle grows with -x/y."""
+    return _ccw_cat((1, 0), v), Fraction(-v[0], v[1]) if v[1] else Fraction(0)
 
 
 def _is_stable(family: UpdateFamily, u: Vec) -> bool:
     """Direct predicate: every rule has some site on the closed upper side."""
-    return all(any(_dot(x, u) >= 0 for x in rule) for rule in family.rules)
+    return all(any(x[0] * u[0] + x[1] * u[1] >= 0 for x in rule) for rule in family.rules)
 
 
 @dataclass(frozen=True)
@@ -104,91 +86,49 @@ class StableDirectionReport:
     classification: str
 
 
-def _candidate_directions(family: UpdateFamily) -> List[Vec]:
-    cands = set()
-    for rule in family.rules:
-        for x in rule:
-            p = _primitive(_rot90(x))
-            cands.add(p)
-            cands.add(_neg(p))
-    return sorted(cands, key=_angular_key)
-
-
-def _gap_representative(a: Vec, b: Vec) -> Vec:
-    """An interior direction of the open ccw gap (a, b)."""
-    if b == _neg(a):
-        return _rot90(a)
-    assert _cross(a, b) > 0, "adjacent candidates must subtend less than pi"
-    return _primitive((a[0] + b[0], a[1] + b[1]))
-
-
 def stable_directions(family: UpdateFamily) -> StableDirectionReport:
     """Compute the closed stable set as a union of disjoint closed arcs."""
-    points = _candidate_directions(family)
-    m = len(points)
-    # Alternating circular sequence: point_0, gap_0, point_1, gap_1, ...
-    elements: List[Tuple[str, Vec]] = []
-    for i, p in enumerate(points):
-        elements.append(("point", p))
-        elements.append(("gap", _gap_representative(p, points[(i + 1) % m])))
-    flags = [_is_stable(family, v) for _, v in elements]
-
+    candidates = sorted(
+        {_primitive((-s * y, s * x)) for rule in family.rules for x, y in rule for s in (1, -1)},
+        key=_angle_from_e1,
+    )
+    # Candidates come in opposite pairs, so a gap spans at most pi; a gap of
+    # exactly pi is sampled by its start turned a quarter counterclockwise.
+    circle: List[Vec] = []
+    for a, b in zip(candidates, candidates[1:] + candidates[:1]):
+        gap = (a[0] + b[0], a[1] + b[1]) if _cross(a, b) > 0 else (-a[1], a[0])
+        circle += [a, gap]
+    flags = [_is_stable(family, u) for u in circle]
     if all(flags):
         return StableDirectionReport(arcs=(), full_circle=True, classification=NOT_SUPERCRITICAL)
-    if not any(flags):
-        return StableDirectionReport(arcs=(), full_circle=False, classification=SUPERCRITICAL_UNROOTED)
 
-    # Maximal circular runs of stable elements.  A stable gap forces stable
-    # endpoints, so every run starts and ends at a point element.
-    n = len(elements)
-    start_idx = next(i for i in range(n) if not flags[i])
-    arcs: List[Arc] = []
-    i = start_idx
-    steps = 0
-    while steps < n:
-        i = (i + 1) % n
-        steps += 1
-        if not flags[i]:
-            continue
-        run = [i]
-        while steps < n and flags[(i + 1) % n]:
-            i = (i + 1) % n
-            steps += 1
-            run.append(i)
-        first = next(j for j in run if elements[j][0] == "point")
-        last = next(j for j in reversed(run) if elements[j][0] == "point")
-        arcs.append(Arc(elements[first][1], elements[last][1]))
-
-    arcs.sort(key=lambda a: _angular_key(a.start))
-    return StableDirectionReport(arcs=tuple(arcs), full_circle=False, classification=_classify(arcs))
+    # Begin after an unstable sample, so that no stable run wraps around.
+    k = flags.index(False) + 1
+    ring = list(zip(circle[k:] + circle[:k], flags[k:] + flags[:k]))
+    arcs = []
+    for stable, run in groupby(ring, key=itemgetter(1)):
+        if stable:
+            samples = [u for u, _ in run]
+            arcs.append(Arc(samples[0], samples[-1]))
+    arcs.sort(key=lambda arc: _angle_from_e1(arc.start))
+    stable_samples = [u for u, stable in ring if stable]
+    return StableDirectionReport(
+        arcs=tuple(arcs), full_circle=False, classification=_classify(arcs, stable_samples)
+    )
 
 
-def _gap_at_least_pi(end: Vec, start: Vec, full: bool) -> bool:
-    if full:
-        return True
-    cat = _ccw_cat(end, start)
-    return cat in (2, 3)
+def _classify(arcs: List[Arc], stable_samples: Sequence[Vec]) -> str:
+    """Supercritical: some open semicircle holds no stable direction, that
+    is some gap from an arc's end to the next arc's start spans at least pi.
+    A lone point arc's gap, from the point to itself, is the whole circle,
+    and so is the complement of an empty stable set.
 
-
-def _classify(arcs: List[Arc]) -> str:
-    # Supercritical iff some open semicircle avoids the stable set, i.e. some
-    # complement gap has ccw width >= pi.
-    k = len(arcs)
-    supercritical = False
-    for i, arc in enumerate(arcs):
-        nxt = arcs[(i + 1) % k]
-        full = k == 1 and arc.is_point
-        if _gap_at_least_pi(arc.end, nxt.start, full):
-            supercritical = True
-            break
-    if not supercritical:
+    Rooted: two stable directions are not opposite.  The samples decide it:
+    an arc that is not a point holds at least three of them, and no three
+    directions are pairwise opposite."""
+    gaps = zip(arcs, arcs[1:] + arcs[:1])
+    if arcs and not any(a.end == b.start or _ccw_cat(a.end, b.start) >= 2 for a, b in gaps):
         return NOT_SUPERCRITICAL
-
-    if any(not a.is_point for a in arcs):
-        return SUPERCRITICAL_ROOTED
-    pts = [a.start for a in arcs]
-    if len(pts) >= 3:
-        return SUPERCRITICAL_ROOTED
-    if len(pts) == 2 and pts[1] != _neg(pts[0]):
+    if any(_ccw_cat(u, v) in (1, 3) for u in stable_samples for v in stable_samples):
         return SUPERCRITICAL_ROOTED
     return SUPERCRITICAL_UNROOTED

@@ -18,7 +18,7 @@ sparse S; no dense matrix is built.
 - Mean hitting times solve the symmetrized system on {origin occupied} with
   the same kind of factorization, checked by a relative backward error.
 - One undirected component labelling, ``_components``, serves the gap and
-  the hitting solve, and the proxy bound's Dirichlet form is read off L.
+  the hitting solve.
 
 Both costs are those of the sparse factor, whose fill grows faster than the
 state count.  For East chains of 2^13 and 2^14 states at q = 0.3, gap plus
@@ -34,10 +34,9 @@ process memory of about 0.08 and 0.15 GB.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,16 +71,11 @@ class UnreachableStatesError(ValueError):
         self.states = states
 
 
-def _site_masks(
-    family: UpdateFamily, sites: Sequence[Site], exterior
-) -> List[List[int]]:
-    """``compile_rules`` as bitmasks over ``sites`` (bit i is sites[i]): one
+def _site_masks(site_rules: Sequence[Tuple[Tuple[int, ...], ...]]) -> List[List[int]]:
+    """``compile_rules``' output as bitmasks (bit i is sites[i]): one
     required-empty mask per live rule.  A zero mask means the rule always
     fires."""
-    return [
-        [sum(1 << j for j in set(rule)) for rule in rules]
-        for rules in compile_rules(family, sites, exterior)
-    ]
+    return [[sum(1 << j for j in set(rule)) for rule in rules] for rules in site_rules]
 
 
 def _constraint_bit(masks: List[int], state: int) -> bool:
@@ -132,7 +126,7 @@ def build_generator(
     cols: List[np.ndarray] = []
     vals: List[np.ndarray] = []
     total = np.zeros(size)
-    for i, masks in enumerate(_site_masks(family, sites, exterior)):
+    for i, masks in enumerate(_site_masks(compile_rules(family, sites, exterior))):
         bit = 1 << i
         legal = np.flatnonzero(np.any([(states & m) == m for m in masks], axis=0))
         rate = np.where(legal & bit, p, q)
@@ -314,7 +308,6 @@ def spectral_gap(gen: GeneratorOperator) -> Dict[str, float]:
         "t_rel": 1.0 / lam,
         "residual": residual,
         "component_size": int(m),
-        "state_count": int(gen.L.shape[0]),
     }
 
 
@@ -351,76 +344,6 @@ def mean_hitting(gen: GeneratorOperator) -> Dict[str, object]:
     return {"e_mu_tau0": e_mu, "per_state": per_state, "residual": residual}
 
 
-def dirichlet_form(gen: GeneratorOperator, f: np.ndarray) -> Dict[str, float]:
-    """D(f) = 1/2 sum_{x != y} mu(x) L(x, y) (f(y) - f(x))^2, read off the
-    entries of L (the diagonal's terms vanish), plus the variance and
-    Poincare ratio."""
-    mu = gen.mu
-    if f.shape != mu.shape:
-        raise ValueError("f must be defined on every state")
-    C = gen.L.tocoo()
-    diff = f[C.col] - f[C.row]
-    d_val = 0.5 * float(np.sum(mu[C.row] * C.data * diff * diff))
-    mean = float(np.dot(mu, f))
-    var = float(np.dot(mu, f * f) - mean * mean)
-    out = {"dirichlet": d_val, "variance": var, "mean": mean}
-    if d_val > 0:
-        out["poincare_ratio"] = var / d_val
-    return out
-
-
-def proxy_bound_value(m_phi: float, d_phi: float, T: float) -> float:
-    """T |m| (|m| e^{-T D} - sqrt(T D))."""
-    a = abs(m_phi)
-    return T * a * (a * math.exp(-T * d_phi) - math.sqrt(T * d_phi))
-
-
-def check_proxy_bound(
-    gen: GeneratorOperator,
-    phi: np.ndarray,
-    t_grid: Optional[Sequence[float]] = None,
-    tol: float = 1e-9,
-) -> Dict[str, object]:
-    """Verify the hitting-time lower bound through a test function.
-
-    phi must vanish on {origin empty}; it is normalized to mu(phi^2) = 1.
-    Checks E_mu(tau0) >= bound(T) on the grid and at the distinguished
-    T* = mu(phi)^2 / (16 D(phi)).
-    """
-    if np.any(phi[gen.origin_empty] != 0):
-        raise ValueError("phi must vanish on states with the origin empty")
-    norm2 = float(np.dot(gen.mu, phi * phi))
-    if norm2 <= 0:
-        raise ValueError("phi is zero almost surely")
-    phi = phi / math.sqrt(norm2)
-    df = dirichlet_form(gen, phi)
-    m_phi, d_phi = df["mean"], df["dirichlet"]
-    if d_phi <= 0:
-        raise ValueError("phi has zero Dirichlet form; target unreachable")
-    e_mu = mean_hitting(gen)["e_mu_tau0"]
-
-    t_star = m_phi ** 2 / (16.0 * d_phi)
-    if t_grid is None:
-        t_grid = [t_star * (i + 1) / 10.0 for i in range(20)]
-    checks = []
-    for T in t_grid:
-        b = proxy_bound_value(m_phi, d_phi, T)
-        checks.append({"T": T, "bound": b, "holds": e_mu >= b - tol})
-    b_star = proxy_bound_value(m_phi, d_phi, t_star)
-    star_holds = e_mu >= b_star - tol
-    return {
-        "e_mu_tau0": e_mu,
-        "mu_phi": m_phi,
-        "dirichlet": d_phi,
-        "t_star": t_star,
-        "bound_at_t_star": b_star,
-        "figure": m_phi ** 4 / d_phi,
-        "holds_at_t_star": star_holds,
-        "holds_on_grid": all(c["holds"] for c in checks),
-        "grid": checks,
-    }
-
-
 def _capped_search(
     family: UpdateFamily, region: Region, max_zeros: int, budget: int,
     stop_at_origin: bool = False,
@@ -439,8 +362,9 @@ def _capped_search(
     the same order as that scan."""
     sites = sorted(region.sites)
     origin_bit = 1 << sites.index((0, 0))
-    site_masks = _site_masks(family, sites, ALL_INFECTED)
-    deps = compile_dependents(compile_rules(family, sites, ALL_INFECTED))
+    rules = compile_rules(family, sites, ALL_INFECTED)
+    site_masks = _site_masks(rules)
+    deps = compile_dependents(rules)
     always = [i for i, masks in enumerate(site_masks) if 0 in masks]
     seen = {0}
     queue = deque([0])
@@ -474,7 +398,7 @@ def _capped_search(
     return origin_empties, len(seen)
 
 
-def east_barrier(ell: int, zero_cap: Optional[int] = None, budget: int = BFS_CAP) -> int:
+def east_barrier(ell: int) -> int:
     """Minimal number of simultaneous empties needed to empty site ell of an
     East chain with a frozen empty at site 0, found by capped search.
 
@@ -483,15 +407,17 @@ def east_barrier(ell: int, zero_cap: Optional[int] = None, budget: int = BFS_CAP
     site 1, so the all-infected exterior of ``_capped_search`` is exactly
     the frozen empty at site 0.  Each cap tried is one search, which stops
     once site ell empties: at the cap that succeeds, the full capped state
-    space can be far larger (beyond the default budget at ell = 40, cap 6).
+    space can be far larger (beyond ``BFS_CAP`` at ell = 40, cap 6).  Cap
+    ell needs no search: it binds nothing, and emptying sites 1, ..., ell
+    in turn empties site ell.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
     region = Region.corner(ell, 1)
-    for cap in range(1, ell + 1) if zero_cap is None else [zero_cap]:
-        if _capped_search(_EAST1, region, cap, budget, stop_at_origin=True)[0]:
+    for cap in range(1, ell):
+        if _capped_search(_EAST1, region, cap, BFS_CAP, stop_at_origin=True)[0]:
             return cap
-    raise ValueError(f"site {ell} unreachable within cap {zero_cap}")
+    return ell
 
 
 def lambda_region(n: int, kappa: int) -> Region:
@@ -501,15 +427,13 @@ def lambda_region(n: int, kappa: int) -> Region:
     return Region.box(half)
 
 
-def an_reachability(
-    family: UpdateFamily, n: int, kappa: int = 1, budget: int = BFS_CAP
-) -> Dict[str, object]:
+def an_reachability(family: UpdateFamily, n: int, kappa: int = 1) -> Dict[str, object]:
     """Capped search on ``lambda_region(n, kappa)`` with at most n - 1
     simultaneous empties; reports whether the origin ever empties."""
     if n < 1:
         raise ValueError("n must be >= 1")
     region = lambda_region(n, kappa)
-    origin_infectable, reached = _capped_search(family, region, n - 1, budget)
+    origin_infectable, reached = _capped_search(family, region, n - 1, BFS_CAP)
     return {
         "origin_infectable": origin_infectable,
         "reachable_states": reached,

@@ -56,9 +56,6 @@ class UpdateFamily:
         """All distinct rule offsets, over all rules."""
         return tuple(sorted({s for rule in self.rules for s in rule}))
 
-    def to_json(self) -> str:
-        return json.dumps({"name": self.name, "rules": [[list(s) for s in r] for r in self.rules]})
-
 
 def parse_family(text: str) -> UpdateFamily:
     """Parse the JSON family format ``{"name": str, "rules": [[[dx,dy],...],...]}``."""

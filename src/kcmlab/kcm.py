@@ -109,9 +109,7 @@ class Dynamics:
     """
 
     def __init__(self, family: UpdateFamily, region: Region, exterior=ALL_HEALTHY):
-        self.family = family
         self.region = region
-        self.exterior = exterior
         self.sites: List[Site] = sorted(region.sites)
         self.index = {s: i for i, s in enumerate(self.sites)}
         self.n = len(self.sites)

@@ -3,9 +3,10 @@
 Each is an oracle, a checker or a thin wrapper that a test compares the
 program against: the synchronous bootstrap step, the site-set path search,
 configurations with the site-by-site constraint check, the full-scan
-capped search, the droplet pass and crossing event on site sets with the
-droplet invariants, membership in a stable set, single KCM trials, and the
-paper's asymptotic scales and coarse-grained paths.
+capped search, the paper's variational lower bound on the mean hitting
+time, the droplet pass and crossing event on site sets with the droplet
+invariants, membership in a stable set, single KCM trials, and the paper's
+asymptotic scales and coarse-grained paths.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from kcmlab.bootstrap import closure_region
 from kcmlab.directions import StableDirectionReport, Vec, _ccw_cat, _cross, _primitive
 from kcmlab.droplets import DOWN, UP, ArrowProfile, ColumnGeometry, DropletRecord, DuarteScales
 from kcmlab.droplets import column_masks, run_droplet_algorithm
-from kcmlab.exact import StateSpaceError, _constraint_bit, _site_masks
-from kcmlab.families import UpdateFamily, builtin_family
+from kcmlab.exact import GeneratorOperator, StateSpaceError, _constraint_bit, _site_masks, mean_hitting
+from kcmlab.families import UpdateFamily, builtin_family, compile_rules
 from kcmlab.geometry import (
     ALL_HEALTHY,
     ALL_INFECTED,
@@ -164,7 +165,7 @@ def capped_search_full_scan(
     state, in ascending site order."""
     sites = sorted(region.sites)
     origin_bit = 1 << sites.index((0, 0))
-    site_masks = _site_masks(family, sites, ALL_INFECTED)
+    site_masks = _site_masks(compile_rules(family, sites, ALL_INFECTED))
     seen = {0}
     queue = deque([0])
     origin_empties = False
@@ -189,6 +190,76 @@ def capped_search_full_scan(
             if len(seen) > budget:
                 raise StateSpaceError(f"capped search exceeded its budget of {budget} states")
     return origin_empties, len(seen)
+
+
+def dirichlet_form(gen: GeneratorOperator, f: np.ndarray) -> Dict[str, float]:
+    """D(f) = 1/2 sum_{x != y} mu(x) L(x, y) (f(y) - f(x))^2, read off the
+    entries of L (the diagonal's terms vanish), plus the variance and
+    Poincare ratio."""
+    mu = gen.mu
+    if f.shape != mu.shape:
+        raise ValueError("f must be defined on every state")
+    C = gen.L.tocoo()
+    diff = f[C.col] - f[C.row]
+    d_val = 0.5 * float(np.sum(mu[C.row] * C.data * diff * diff))
+    mean = float(np.dot(mu, f))
+    var = float(np.dot(mu, f * f) - mean * mean)
+    out = {"dirichlet": d_val, "variance": var, "mean": mean}
+    if d_val > 0:
+        out["poincare_ratio"] = var / d_val
+    return out
+
+
+def proxy_bound_value(m_phi: float, d_phi: float, T: float) -> float:
+    """T |m| (|m| e^{-T D} - sqrt(T D))."""
+    a = abs(m_phi)
+    return T * a * (a * math.exp(-T * d_phi) - math.sqrt(T * d_phi))
+
+
+def check_proxy_bound(
+    gen: GeneratorOperator,
+    phi: np.ndarray,
+    t_grid: Optional[Sequence[float]] = None,
+    tol: float = 1e-9,
+) -> Dict[str, object]:
+    """Verify the hitting-time lower bound through a test function.
+
+    phi must vanish on {origin empty}; it is normalized to mu(phi^2) = 1.
+    Checks E_mu(tau0) >= bound(T) on the grid and at the distinguished
+    T* = mu(phi)^2 / (16 D(phi)).
+    """
+    if np.any(phi[gen.origin_empty] != 0):
+        raise ValueError("phi must vanish on states with the origin empty")
+    norm2 = float(np.dot(gen.mu, phi * phi))
+    if norm2 <= 0:
+        raise ValueError("phi is zero almost surely")
+    phi = phi / math.sqrt(norm2)
+    df = dirichlet_form(gen, phi)
+    m_phi, d_phi = df["mean"], df["dirichlet"]
+    if d_phi <= 0:
+        raise ValueError("phi has zero Dirichlet form; target unreachable")
+    e_mu = mean_hitting(gen)["e_mu_tau0"]
+
+    t_star = m_phi ** 2 / (16.0 * d_phi)
+    if t_grid is None:
+        t_grid = [t_star * (i + 1) / 10.0 for i in range(20)]
+    checks = []
+    for T in t_grid:
+        b = proxy_bound_value(m_phi, d_phi, T)
+        checks.append({"T": T, "bound": b, "holds": e_mu >= b - tol})
+    b_star = proxy_bound_value(m_phi, d_phi, t_star)
+    star_holds = e_mu >= b_star - tol
+    return {
+        "e_mu_tau0": e_mu,
+        "mu_phi": m_phi,
+        "dirichlet": d_phi,
+        "t_star": t_star,
+        "bound_at_t_star": b_star,
+        "figure": m_phi ** 4 / d_phi,
+        "holds_at_t_star": star_holds,
+        "holds_on_grid": all(c["holds"] for c in checks),
+        "grid": checks,
+    }
 
 
 # --- directions --------------------------------------------------------------

@@ -29,7 +29,6 @@ from kcmlab.droplets import (
 from kcmlab.exact import (
     an_reachability,
     build_generator,
-    check_proxy_bound,
     east_barrier,
     lambda_region,
     mean_hitting,
@@ -43,6 +42,7 @@ from kcmlab.kcm import SimParams, batch_tau0, east_chain_region, frozen_boundary
 from conftest import random_family, random_seed_set, random_tau
 from reference import (
     check_droplet_disjointness,
+    check_proxy_bound,
     check_restriction_identity,
     is_stable,
     reference_pass,

@@ -63,6 +63,15 @@ class TestStableSets:
         assert set(stable) == {(0, 1), (0, -1)}
         assert report.classification == SUPERCRITICAL_UNROOTED
 
+    def test_single_stable_direction(self):
+        # +e2 alone is stable: a lone point arc, whose gap is the whole
+        # circle, so the family is supercritical but not rooted
+        fam = UpdateFamily.create("t", [[(1, 0)], [(-1, 0)], [(0, 1)]])
+        report = stable_directions(fam)
+        assert [(a.start, a.end) for a in report.arcs] == [((0, 1), (0, 1))]
+        assert [u for u in primitive_directions(5) if is_stable(report, u)] == [(0, 1)]
+        assert report.classification == SUPERCRITICAL_UNROOTED
+
     def test_no_stable_direction(self):
         # each unit direction u is destabilized by the one-site rule at -u
         fam = UpdateFamily.create("nn1", [[(1, 0)], [(-1, 0)], [(0, 1)], [(0, -1)]])

@@ -23,15 +23,13 @@ from kcmlab.exact import (
     _symmetrized,
     an_reachability,
     build_generator,
-    check_proxy_bound,
-    dirichlet_form,
     east_barrier,
     ergodic_component,
     lambda_region,
     mean_hitting,
     spectral_gap,
 )
-from kcmlab.families import UpdateFamily, builtin_family
+from kcmlab.families import UpdateFamily, builtin_family, compile_rules
 from kcmlab.geometry import (
     ALL_HEALTHY,
     ALL_INFECTED,
@@ -48,7 +46,13 @@ from kcmlab.kcm import (
 )
 
 from conftest import random_family, random_region
-from reference import Configuration, capped_search_full_scan, constraint_satisfied
+from reference import (
+    Configuration,
+    capped_search_full_scan,
+    check_proxy_bound,
+    constraint_satisfied,
+    dirichlet_form,
+)
 
 EAST1 = builtin_family("east1d")
 EAST2 = builtin_family("east2d")
@@ -68,7 +72,7 @@ def duarte_box_generator(w, h, q):
 def double_loop_generator(gen, family, exterior):
     """(L, mu) assembled state by state and site by site from the compiled
     rule masks, accumulating each diagonal entry over the sites in order."""
-    site_masks = _site_masks(family, gen.sites, exterior)
+    site_masks = _site_masks(compile_rules(family, gen.sites, exterior))
     n, size, q = len(gen.sites), len(gen.mu), gen.q
     p = 1.0 - q
     rows, cols, vals = [], [], []
@@ -487,7 +491,7 @@ class TestDirichletForm:
             for region in SMALL_REGIONS[:2]:
                 for exterior in exteriors(family, region):
                     gen = build_generator(family, region, 0.3, exterior=exterior)
-                    masks = _site_masks(family, gen.sites, exterior)
+                    masks = _site_masks(compile_rules(family, gen.sites, exterior))
                     f = rng.normal(size=len(gen.mu))
                     want = 0.0
                     for i, site_masks in enumerate(masks):
@@ -504,6 +508,15 @@ class TestDirichletForm:
         gen = east_chain_generator(2, 0.3)
         with pytest.raises(ValueError):
             dirichlet_form(gen, np.ones(3))
+
+
+def low_component(gen, max_empties):
+    """Mask of the states that legal flips reach from all-occupied through
+    states with at most ``max_empties`` empties."""
+    states = np.arange(len(gen.mu))
+    low = np.flatnonzero([bin(s).count("1") <= max_empties for s in states])
+    labels = csgraph.connected_components(gen.L[low][:, low], directed=False)[1]
+    return np.isin(states, low[labels == labels[0]])
 
 
 class TestProxyBound:
@@ -523,6 +536,31 @@ class TestProxyBound:
         out = check_proxy_bound(gen, phi)
         assert out["bound_at_t_star"] > 0
 
+    def test_bottleneck_phi_bound_bites(self):
+        # A is the set of states below the energy barrier b: reached from
+        # all-occupied with at most b - 1 empties, so the origin never
+        # empties in A.  The bound through 1_A grows in 1/q at least like
+        # q^-(b - 1); the one through 1{origin occupied} does not.  Measured
+        # between q = 0.1 and 0.03: 8.30 -> 1563 (slope 4.35) against
+        # 3.52 -> 45.2 (slope 2.12), with E_mu(tau0) 3270 -> 3.43e5.
+        b = east_barrier(8)
+        assert b == 4
+        qs = (0.1, 0.03)
+        bounds = {"bottleneck": [], "trivial": []}
+        for q in qs:
+            gen = east_chain_generator(8, q)
+            below = low_component(gen, b - 1)
+            assert below.sum() == _capped_search(EAST1, east_chain_region(8), b - 1, BFS_CAP)[1]
+            for name, phi in (("bottleneck", below), ("trivial", ~gen.origin_empty)):
+                out = check_proxy_bound(gen, phi.astype(float))
+                assert out["holds_at_t_star"] and out["holds_on_grid"]
+                assert 0 < out["bound_at_t_star"] < out["e_mu_tau0"]
+                bounds[name].append(out["bound_at_t_star"])
+        span = math.log(qs[0] / qs[1])
+        slopes = {name: math.log(hi / lo) / span for name, (lo, hi) in bounds.items()}
+        assert slopes["bottleneck"] >= b - 1
+        assert slopes["trivial"] < b - 1
+
     def test_phi_must_vanish_on_target(self):
         gen = east_chain_generator(2, 0.3)
         with pytest.raises(ValueError, match="vanish"):
@@ -540,9 +578,10 @@ class TestEastBarrier:
             assert east_barrier(ell) == math.ceil(math.log2(ell + 1))
 
     def test_explicit_cap_below_threshold_fails(self):
-        with pytest.raises(ValueError, match="unreachable"):
-            east_barrier(4, zero_cap=2)
-        assert east_barrier(4, zero_cap=3) == 3
+        region = Region.corner(4, 1)
+        assert not _capped_search(EAST1, region, 2, BFS_CAP, stop_at_origin=True)[0]
+        assert _capped_search(EAST1, region, 3, BFS_CAP, stop_at_origin=True)[0]
+        assert east_barrier(4) == 3
 
     def test_bad_ell(self):
         with pytest.raises(ValueError):
@@ -583,19 +622,20 @@ class TestCappedSearch:
             region = east_chain_region(ell)
             wall = {s: int(s != (-ell, 0)) for s in outer_boundary(region)}
             exterior = BoundaryExterior(BoundaryCondition(region, wall))
+            infectable = []
             for cap in range(ell + 1):
-                want = brute_force_reachability(EAST1, region, cap, exterior)
-                if want["origin_infectable"]:
-                    assert east_barrier(ell, zero_cap=cap) == cap
-                else:
-                    with pytest.raises(ValueError, match="unreachable"):
-                        east_barrier(ell, zero_cap=cap)
+                want = brute_force_reachability(EAST1, region, cap, exterior)["origin_infectable"]
+                assert _capped_search(EAST1, region, cap, BFS_CAP, stop_at_origin=True)[0] == want
+                infectable.append(want)
+            assert east_barrier(ell) == infectable.index(True)
 
     def test_budget_exhausted_is_state_space_error(self):
+        # east_barrier(12) passes 10 states at cap 3, an_reachability(EAST2,
+        # 3) at once
         with pytest.raises(StateSpaceError, match="budget of 10"):
-            east_barrier(12, budget=10)
+            _capped_search(EAST1, Region.corner(12, 1), 3, 10, stop_at_origin=True)
         with pytest.raises(StateSpaceError, match="budget of 10"):
-            an_reachability(EAST2, 3, budget=10)
+            _capped_search(EAST2, lambda_region(3, 1), 2, 10)
 
     def test_candidates_match_full_scan(self, rng):
         # the search checks only the sites that can be legal in each state;
@@ -626,7 +666,10 @@ class TestCappedSearch:
     def test_barrier_search_stops_when_the_origin_empties(self):
         # at cap 4 site 8 first empties after 69 states, of 162 in the
         # whole capped space
-        assert east_barrier(8, budget=100) == 4
+        region = Region.corner(8, 1)
+        assert _capped_search(EAST1, region, 4, 100, stop_at_origin=True) == (True, 69)
+        assert _capped_search(EAST1, region, 4, BFS_CAP) == (True, 162)
+        assert east_barrier(8) == 4
 
 
 class TestAnReachability:

@@ -81,7 +81,7 @@ class TestDynamicsCompilation:
         exteriors = [ALL_HEALTHY, ALL_INFECTED, frozen_boundary_for(DUARTE, region)]
         for exterior in exteriors:
             dyn = make_dynamics(SimParams(DUARTE, 0.5, region, exterior))
-            masks = _site_masks(DUARTE, dyn.sites, exterior)
+            masks = _site_masks(compile_rules(DUARTE, dyn.sites, exterior))
             for _ in range(200):
                 state = (rng.random(dyn.n) >= 0.5).astype(np.int8)
                 empty = [s for s, v in zip(dyn.sites, state) if v == 0]

@@ -26,8 +26,6 @@ BENCH = os.path.join(ROOT, "bench")
 ALLOWED = {
     # bound in droplets only so that the traced benchmark can patch it there
     "bootstrap.closure_region",
-    # the paper's variational hitting-time bound, checked by the tests
-    "exact.check_proxy_bound",
     # the sweep-to-fit reader, which `fit --manifest` is to call
     "harness.medians_from_manifest",
 }
