@@ -11,10 +11,14 @@ sparse S; no dense matrix is built.
   state no other site's legality reads.  Each sink splits the spectrum into
   that of the chain without it and the lowest eigenvalue of a killed
   operator on half the states, found by shift-invert Lanczos (ARPACK) about
-  0 with a SuperLU factorization in symmetric mode.  What does not peel
-  takes the second eigenvalue of S on its ergodic component by shift-invert
-  about sigma < 0 (see ``spectral_gap``).  East chains peel completely, so
-  their largest factor has half their states; Duarte boxes have no sink.
+  0 with a SuperLU factorization in symmetric mode.  What does not peel is
+  split by a reflection of the chain, when it has one, into an even block,
+  whose second eigenvalue is taken by shift-invert about sigma < 0, and an
+  odd block, whose lowest one is (see ``spectral_gap``).  East chains peel
+  completely, so their largest factor has half their states.  Duarte boxes
+  have no sink, but their frozen frame and rules are symmetric under the
+  reflection about the middle row, so the largest factor again has about
+  half their states.
 - Mean hitting times solve the symmetrized system on {origin occupied} with
   the same kind of factorization, checked by a relative backward error.
 - One undirected component labelling, ``_components``, serves the gap and
@@ -23,7 +27,10 @@ sparse S; no dense matrix is built.
 Both costs are those of the sparse factor, whose fill grows faster than the
 state count.  For East chains of 2^13 and 2^14 states at q = 0.3, gap plus
 hitting time take about 0.4 s and 1.8 s on one x86-64 core, with a peak
-process memory of about 0.08 and 0.15 GB.
+process memory of about 0.08 and 0.15 GB.  On the 2^12 states of a Duarte
+3 x 4 box the gap takes about 0.15 s there: its two blocks of 2080 and 2016
+states factor with about 0.3 M nonzeros each, where the whole component
+took 1.4 M and about 0.45 s.
 
 - Energy barriers and capped-vacancy reachability share one breadth-first
   search, ``_capped_search``, over the states with at most k empties
@@ -216,6 +223,53 @@ def _peel_order(legal: np.ndarray) -> List[int]:
         left.remove(sinks[-1])
 
 
+def _permute_states(states: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Each state with bit j moved to bit perm[j]."""
+    out = np.zeros_like(states)
+    for j, pj in enumerate(perm.tolist()):
+        out |= ((states >> j) & 1) << pj
+    return out
+
+
+def _reflection(sites: Sequence[Site], legal: np.ndarray) -> np.ndarray:
+    """A reflection of the chain, as the permutation perm of site indices
+    (site j goes to site perm[j]), or the identity when there is none.
+
+    The candidates are the involutions of the sites' bounding box that move
+    some site: x -> x0 + x1 - x, y -> y0 + y1 - y, the half-turn, and on a
+    square box the two diagonal reflections.  The first that maps the
+    sites to themselves and the flip table to itself,
+    legal[pi(s), pi(j)] == legal[s, j], is kept.  Rates read only legality
+    and q, and mu is a product of one measure per site, so that is exactly
+    the invariance of L under pi."""
+    n = len(sites)
+    index = {s: i for i, s in enumerate(sites)}
+    xs, ys = zip(*sites)
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    maps = [
+        lambda x, y: (x0 + x1 - x, y),
+        lambda x, y: (x, y0 + y1 - y),
+        lambda x, y: (x0 + x1 - x, y0 + y1 - y),
+    ]
+    if x1 - x0 == y1 - y0:
+        maps += [
+            lambda x, y: (x0 + y - y0, y0 + x - x0),
+            lambda x, y: (x0 + y1 - y, y0 + x1 - x),
+        ]
+    identity = np.arange(n)
+    states = np.arange(legal.shape[0])
+    for f in maps:
+        images = [index.get(f(*s)) for s in sites]
+        if None in images:
+            continue
+        perm = np.array(images)
+        if not np.array_equal(perm, identity) and np.array_equal(
+            legal[_permute_states(states, perm)][:, perm], legal
+        ):
+            return perm
+    return identity
+
+
 def _eigenpair(A: sp.spmatrix, k: int, sigma: float) -> Tuple[float, np.ndarray]:
     """The k-th smallest eigenvalue of a symmetric positive semidefinite A
     and its eigenvector: shift-invert Lanczos (ARPACK) about sigma, with
@@ -263,9 +317,28 @@ def spectral_gap(gen: GeneratorOperator) -> Dict[str, float]:
     So sinks are peeled, highest first, until none is left: each level's S
     is the slice of the level above on {eta_i occupied}, less the rate
     q c_i at which i empties on its diagonal, and K is the same slice plus
-    (1 - q) c_i.  Whatever does not peel takes the second eigenvalue of its
-    whole S by shift-invert about sigma < 0.  The gap is the smallest of
-    these candidates, and its eigenvector, lifted to C (constant in every
+    (1 - q) c_i.
+
+    Whatever does not peel is split by a reflection pi of the chain
+    (``_reflection``): a permutation of the sites under which L is
+    invariant, so that the permutation P of states that it induces
+    commutes with S.  Whether a site is a sink is read off which sites'
+    legality reads which, and pi preserves that relation, so pi maps sinks
+    to sinks.  Peeling a site never turns a sink back into a non-sink, so
+    the peeled set does not depend on the order, and pi maps it to itself.
+    It also maps C to itself, because it fixes the all-occupied state.  So
+    P maps the last level's states to themselves and commutes with its S,
+    the q c_i taken off its diagonal included.  In the basis (e_s + e_{pi s}) / sqrt 2,
+    or e_s when pi fixes s, of even vectors, and (e_s - e_{pi s}) / sqrt 2
+    of odd ones, S is block diagonal.  The kernel of the last level's S is
+    spanned by its sqrt(mu), which is even, so the odd block is positive
+    definite and one shift-invert about 0 gives its lowest eigenvalue; the
+    even block takes its second eigenvalue by shift-invert about
+    sigma < 0.  A chain with no reflection takes the identity, whose even
+    block is all of S and whose odd block is empty.
+
+    The gap is the smallest of these candidates, and its eigenvector,
+    lifted through the block's basis and then to C (constant in every
     other peeled site), is checked against the full L.
     """
     comp = ergodic_component(gen)
@@ -294,8 +367,23 @@ def spectral_gap(gen: GeneratorOperator) -> Dict[str, float]:
             candidates.append((lam, h / d, states, peeled, bit))
             S = S - sp.diags(q * c)
     if len(states) >= 2:
-        lam, w = _eigenpair(S, 2, _SHIFT * float(S.diagonal().max()))
-        candidates.append((lam, w / d, states, peeled, 0))
+        own = np.arange(len(states))
+        image = np.searchsorted(states, _permute_states(states, _reflection(gen.sites, legal)))
+        # one basis vector per orbit {s, pi s}: a fixed state's two entries
+        # of 1/2 sum to 1
+        for first, sign, k in ((own <= image, 1.0, 2), (own < image, -1.0, 1)):
+            orbit = np.flatnonzero(first)
+            if len(orbit) < k:
+                continue
+            w = np.where(image[orbit] == orbit, 0.5, np.sqrt(0.5))
+            U = sp.csc_matrix(
+                (np.concatenate([w, sign * w]),
+                 (np.concatenate([orbit, image[orbit]]), np.tile(np.arange(len(orbit)), 2))),
+                shape=(len(states), len(orbit)),
+            )
+            B = (U.T @ S @ U).tocsc()
+            lam, h = _eigenpair(B, k, _SHIFT * float(B.diagonal().max()) if k == 2 else 0.0)
+            candidates.append((lam, (U @ h) / d, states, peeled, 0))
     lam, g, states, peeled, bit = min(candidates, key=lambda t: t[0])
     v = g[np.searchsorted(states, comp & ~peeled)]
     if bit:

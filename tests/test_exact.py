@@ -19,6 +19,7 @@ from kcmlab.exact import (
     _eigenpair,
     _flip_table,
     _peel_order,
+    _reflection,
     _site_masks,
     _symmetrized,
     an_reachability,
@@ -173,7 +174,7 @@ class TestSpectralGap:
     def test_matches_dense_eig_oracle(self):
         for q in (0.45, 0.3, 0.2, 0.15, 0.03):
             gens = [east_chain_generator(n, q) for n in range(2, 11)]
-            gens.append(duarte_box_generator(3, 3, q))
+            gens += [duarte_box_generator(w, h, q) for w, h in ((3, 3), (2, 4), (4, 2))]
             for gen in gens:
                 out = spectral_gap(gen)
                 evals = dense_spectrum(gen)
@@ -220,8 +221,8 @@ KNIGHT = UpdateFamily.create("knight", [[(-1, -2)], [(1, 2)]])
 
 
 def whole_component_gap(gen):
-    """The second eigenvalue of S on the whole ergodic component, by the
-    route that ``spectral_gap`` takes for the sites that do not peel."""
+    """The second eigenvalue of S on the whole ergodic component, factored
+    whole: no sink peeled and no reflection split off."""
     comp = ergodic_component(gen)
     mu = gen.mu[comp]
     S, _ = _symmetrized(gen.L[comp][:, comp], mu / mu.sum())
@@ -283,6 +284,31 @@ class TestPeel:
         for gen in gens:
             want = whole_component_gap(gen)
             assert abs(spectral_gap(gen)["gap"] - want) <= 1e-9 * want
+        # Duarte boxes of odd and even heights: the one-column boxes peel
+        # completely, the others split by their y-reflection
+        for w, h in ((1, 2), (1, 3), (2, 2), (3, 3), (2, 5), (3, 4)):
+            gen = duarte_box_generator(w, h, q)
+            want = whole_component_gap(gen)
+            out = spectral_gap(gen)
+            assert abs(out["gap"] - want) <= 1e-12 * want
+            assert out["residual"] < 1e-12
+
+    def test_finds_the_reflection(self):
+        def found(family, region, exterior):
+            gen = build_generator(family, region, 0.3, exterior=exterior)
+            return [gen.sites[j] for j in _reflection(gen.sites, _flip_table(gen.L, len(gen.sites)))]
+
+        region = Region.corner(3, 4)
+        assert found(DUARTE, region, frozen_boundary_for(DUARTE, region)) == [
+            (x, -3 - y) for x, y in sorted(region.sites)
+        ]
+        region = Region.corner(3, 3)
+        assert found(KNIGHT, region, ALL_HEALTHY) == [(-2 - x, -2 - y) for x, y in sorted(region.sites)]
+        for family, region in (
+            (EAST1, east_chain_region(6)),
+            (DUARTE, Region(Region.corner(3, 2).sites | {(1, 0)})),
+        ):
+            assert found(family, region, frozen_boundary_for(family, region)) == sorted(region.sites)
 
     @pytest.mark.parametrize("q", ["0.3", "0.01"])
     def test_east_matches_mpmath(self, q):
@@ -313,7 +339,8 @@ class TestPeel:
     def test_duarte_box_has_no_sink(self, monkeypatch):
         gen = duarte_box_generator(3, 4, 0.3)
         assert _peel_order(_flip_table(gen.L, 12)) == []
-        assert self.factored_sizes(monkeypatch, gen) == [4096]
+        # the y-reflection splits the 4096 states into even and odd blocks
+        assert self.factored_sizes(monkeypatch, gen) == [2080, 2016]
 
 
 def exteriors(family, region):
