@@ -16,9 +16,9 @@ sparse S; no dense matrix is built.
   whose second eigenvalue is taken by shift-invert about sigma < 0, and an
   odd block, whose lowest one is (see ``spectral_gap``).  East chains peel
   completely, so their largest factor has half their states.  Duarte boxes
-  have no sink, but their frozen frame and rules are symmetric under the
-  reflection about the middle row, so the largest factor again has about
-  half their states.
+  have no sink, but their empty exterior and rules are symmetric under
+  the reflection about the middle row, so the largest factor again has
+  about half their states.
 - Mean hitting times solve the symmetrized system on {origin occupied} with
   the same kind of factorization, checked by a relative backward error.
 - One undirected component labelling, ``_components``, serves the gap and
@@ -67,9 +67,7 @@ class StateSpaceError(ValueError):
 
 
 class ReducibleChainError(ValueError):
-    def __init__(self, message: str, components: int):
-        super().__init__(message)
-        self.components = components
+    pass
 
 
 class UnreachableStatesError(ValueError):
@@ -344,9 +342,7 @@ def spectral_gap(gen: GeneratorOperator) -> Dict[str, float]:
     comp = ergodic_component(gen)
     m = len(comp)
     if m < 2:
-        raise ReducibleChainError(
-            "all-occupied state is isolated; no dynamics to relax", gen.L.shape[0]
-        )
+        raise ReducibleChainError("all-occupied state is isolated; no dynamics to relax")
     Lc = gen.L[comp][:, comp]
     mu_c = gen.mu[comp]
     S, d = _symmetrized(Lc, mu_c / mu_c.sum())

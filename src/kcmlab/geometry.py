@@ -21,13 +21,12 @@ Site = Tuple[int, int]
 class Region:
     """A finite nonempty set of lattice sites."""
 
-    __slots__ = ("sites", "_boundaries")
+    __slots__ = ("sites",)
 
     def __init__(self, sites: Iterable[Site]):
         self.sites: FrozenSet[Site] = frozenset((int(x), int(y)) for x, y in sites)
         if not self.sites:
             raise ValueError("region must be nonempty")
-        self._boundaries = None
 
     @classmethod
     def rectangle(cls, x0: int, x1: int, y0: int, y1: int) -> "Region":
@@ -84,19 +83,17 @@ def boundaries(region: Region) -> Tuple[FrozenSet[Site], FrozenSet[Site]]:
     the region; the perpendicular part collects exterior sites vertically
     adjacent to the region.  A site may belong to both views.
     """
-    if region._boundaries is None:
-        sites = region.sites
-        par = set()
-        perp = set()
-        for (x, y) in sites:
-            w = (x - 1, y)
-            if w not in sites:
-                par.add(w)
-            for n in ((x, y + 1), (x, y - 1)):
-                if n not in sites:
-                    perp.add(n)
-        region._boundaries = (frozenset(par), frozenset(perp))
-    return region._boundaries
+    sites = region.sites
+    par = set()
+    perp = set()
+    for (x, y) in sites:
+        w = (x - 1, y)
+        if w not in sites:
+            par.add(w)
+        for n in ((x, y + 1), (x, y - 1)):
+            if n not in sites:
+                perp.add(n)
+    return frozenset(par), frozenset(perp)
 
 
 def outer_boundary(region: Region) -> FrozenSet[Site]:
@@ -129,10 +126,6 @@ class BoundaryCondition:
         self.zeros: FrozenSet[Site] = frozenset(
             s for s, v in self.assignment.items() if v == 0
         )
-
-    @classmethod
-    def uniform(cls, region: Region, value: int) -> "BoundaryCondition":
-        return cls(region, {s: value for s in outer_boundary(region)})
 
     @classmethod
     def split(cls, region: Region, par_value: int, perp_value: int) -> "BoundaryCondition":

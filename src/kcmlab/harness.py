@@ -26,14 +26,7 @@ from .bootstrap import median_bootstrap_time
 from .exact import build_generator, mean_hitting, spectral_gap
 from .families import UpdateFamily, load_family
 from .geometry import Region
-from .kcm import (
-    BatchSummary,
-    SimParams,
-    backend,
-    batch_tau0,
-    east_chain_region,
-    frozen_boundary_for,
-)
+from .kcm import BatchSummary, SimParams, backend, batch_tau0, frozen_boundary_for
 
 PREDICTORS = {
     "log_sq": lambda q: math.log(q) ** 2,
@@ -58,6 +51,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in ("kcm", "bootstrap", "exact"):
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        if self.box < 1:
+            raise ValueError("box must be >= 1")
         if not self.qs:
             raise ValueError("q list must be nonempty")
         for q in self.qs:
@@ -71,11 +66,13 @@ def csv_header_comment(seed: int) -> str:
 
 
 def region_for(family: UpdateFamily, box: int) -> Region:
-    """Simulation window with the tracked origin at (0,0): a left-anchored
-    chain for east1d, a lower-left-anchored square otherwise."""
-    if family.name == "east1d":
-        return east_chain_region(box)
-    return Region.corner(box, box)
+    """Sweep window ``Region.corner(box, box)``, origin at the top-right
+    corner, with each axis that no rule offset reads made one site wide:
+    a chain of ``box`` sites for east1d, a square for east2d and duarte."""
+    offsets = family.offsets()
+    width = box if any(dx for dx, _ in offsets) else 1
+    height = box if any(dy for _, dy in offsets) else 1
+    return Region.corner(width, height)
 
 
 def kcm_trials_csv(
@@ -87,8 +84,9 @@ def kcm_trials_csv(
     trials: int,
     persistence: bool = False,
 ) -> Tuple[str, BatchSummary]:
-    """Hitting-time trials on a region with the family's frozen boundary,
-    as the text of the KCM trial CSV, plus their summary."""
+    """Hitting-time trials on a region with the empty exterior
+    (``frozen_boundary_for``), as the text of the KCM trial CSV, plus their
+    summary."""
     boundary = frozen_boundary_for(family, region)
     params = SimParams(
         family=family, q=q, region=region, boundary=boundary, t_max=t_max, seed=seed,
@@ -141,8 +139,8 @@ def _write_bootstrap_csv(path: str, config: ExperimentConfig, q: float) -> Dict[
 
 
 def exact_region_report(family: UpdateFamily, region: Region, q: float) -> Dict[str, object]:
-    """Gap, relaxation time and E_mu(tau0) on a region with the family's
-    frozen boundary, plus the solvers' residuals."""
+    """Gap, relaxation time and E_mu(tau0) on a region with the empty
+    exterior (``frozen_boundary_for``), plus the solvers' residuals."""
     boundary = frozen_boundary_for(family, region)
     gen = build_generator(family, region, q, exterior=boundary)
     sg = spectral_gap(gen)

@@ -61,8 +61,7 @@ import numpy as np
 from .families import UpdateFamily, compile_dependents, compile_rules
 from .geometry import (
     ALL_HEALTHY,
-    BoundaryCondition,
-    BoundaryExterior,
+    ALL_INFECTED,
     Region,
     Site,
     derive_rng,
@@ -486,30 +485,25 @@ def summarize(results: List[HittingResult], seconds: float = 0.0) -> BatchSummar
 
 
 def east_chain_region(length: int) -> Region:
-    """Horizontal chain with the tracked origin (0,0) at the right end and
-    the frozen wall just beyond the left end."""
+    """Horizontal chain of ``length`` sites with the tracked origin (0,0)
+    at the right end."""
     if length < 1:
         raise ValueError("length must be >= 1")
     return Region.corner(length, 1)
 
 
-def frozen_boundary_for(family: UpdateFamily, region: Region) -> BoundaryExterior:
-    """Ergodicity-restoring frozen boundary: an empty frame on the outer
-    boundary (its parallel and perpendicular views), healthy beyond it.
+def frozen_boundary_for(family: UpdateFamily, region: Region):
+    """The boundary condition of every KCM and exact window: the whole
+    exterior empty (``ALL_INFECTED``), under which each constraint holds
+    whenever it can under any boundary.  It does not depend on ``family``.
 
-    Without a frozen empty the all-occupied state is an absorbing trap on a
-    finite box.  ``compile_rules`` reads the exterior only at sites that a
-    rule touches.  The East rules touch the west neighbour of a site and,
-    in two dimensions, its south neighbour; outside the region these lie in
-    the one-sided East walls (empty to the west and, for east2d, to the
-    south; occupied elsewhere), and the occupied walls are never read.  So
-    the frame compiles to the same East tables as those walls, whatever the
-    region.  The Duarte rules read only the frame too.  A rule that reads an
-    east or diagonal neighbour may reach beyond the frame, where all is
-    healthy, so the frame does not cover every family: on a one-row box, a
-    family whose only rule is the east neighbour never flips the east end.
+    ``compile_rules`` reads the exterior only at sites that a rule touches.
+    The east1d, east2d and duarte rules touch the west, south and north
+    neighbours of a site, which lie outside a region only on its parallel
+    and perpendicular boundary, so their tables are those of an empty frame
+    on that boundary with healthy sites beyond it.
     """
-    return BoundaryExterior(BoundaryCondition.uniform(region, 0))
+    return ALL_INFECTED
 
 
 _event_loop = _load_event_loop()

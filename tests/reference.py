@@ -2,11 +2,12 @@
 
 Each is an oracle, a checker or a thin wrapper that a test compares the
 program against: the synchronous bootstrap step, the site-set path search,
-configurations with the site-by-site constraint check, the full-scan
-capped search, the paper's variational lower bound on the mean hitting
-time, the droplet pass and crossing event on site sets with the droplet
-invariants, membership in a stable set, single KCM trials, and the paper's
-asymptotic scales and coarse-grained paths.
+configurations with the site-by-site constraint check, uniform boundary
+conditions and the empty frame, the full-scan capped search, the paper's
+variational lower bound on the mean hitting time, the droplet pass and
+crossing event on site sets with the droplet invariants, membership in a
+stable set, single KCM trials, and the paper's asymptotic scales and
+coarse-grained paths.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from kcmlab.geometry import (
     ALL_HEALTHY,
     ALL_INFECTED,
     BoundaryCondition,
+    BoundaryExterior,
     Region,
     Site,
     derive_rng,
@@ -131,6 +133,19 @@ class Configuration:
             and self.region == other.region
             and self.empty == other.empty
         )
+
+
+def uniform_boundary(region: Region, value: int) -> BoundaryCondition:
+    """The boundary condition taking ``value`` on the whole outer boundary."""
+    return BoundaryCondition(region, {s: value for s in outer_boundary(region)})
+
+
+def empty_frame(region: Region) -> BoundaryExterior:
+    """An empty frame on the parallel and perpendicular boundary, healthy
+    beyond it.  The built-in families read only sites in the frame, so it
+    compiles like the empty exterior for them; a rule that reads an east or
+    diagonal neighbour can see past it."""
+    return BoundaryExterior(uniform_boundary(region, 0))
 
 
 def sample_bernoulli(region: Region, q: float, rng: np.random.Generator) -> Configuration:

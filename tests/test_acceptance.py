@@ -47,6 +47,7 @@ from reference import (
     is_stable,
     reference_pass,
     synchronous_step,
+    uniform_boundary,
     window,
 )
 from test_droplets import masks_of, one_step_unconstrained, profile_of
@@ -146,17 +147,17 @@ def test_03_monotonicity(rng):
         seed_big = random_seed_set(rng, big, 0.3)
         seed_small = seed_big & small.sites
         zero_big = closure_region(
-            DUARTE, big, BoundaryCondition.uniform(big, 0), seed_big
+            DUARTE, big, uniform_boundary(big, 0), seed_big
         ).closed
         zero_small = closure_region(
-            DUARTE, small, BoundaryCondition.uniform(small, 0), seed_small
+            DUARTE, small, uniform_boundary(small, 0), seed_small
         ).closed
         assert (zero_big & small.sites) <= zero_small
         one_big = closure_region(
-            DUARTE, big, BoundaryCondition.uniform(big, 1), seed_big
+            DUARTE, big, uniform_boundary(big, 1), seed_big
         ).closed
         one_small = closure_region(
-            DUARTE, small, BoundaryCondition.uniform(small, 1), seed_small
+            DUARTE, small, uniform_boundary(small, 1), seed_small
         ).closed
         assert one_small <= (one_big & small.sites)
     # (C) column windows: healthy left wall, empty caps

@@ -13,10 +13,10 @@ from kcmlab.bootstrap import (
     median_bootstrap_time,
 )
 from kcmlab.families import UpdateFamily, builtin_family
-from kcmlab.geometry import BoundaryCondition, Region
+from kcmlab.geometry import Region
 
 from conftest import random_family, random_region, random_seed_set, random_tau
-from reference import duarte_path_exists, synchronous_step
+from reference import duarte_path_exists, synchronous_step, uniform_boundary
 
 DUARTE = builtin_family("duarte")
 EAST1 = builtin_family("east1d")
@@ -65,31 +65,31 @@ def iterate_synchronous(family, region, tau, seed):
 class TestSynchronousStep:
     def test_nothing_infects_from_empty_seed(self):
         region = Region.rectangle(0, 4, 0, 4)
-        tau = BoundaryCondition.uniform(region, 1)
+        tau = uniform_boundary(region, 1)
         assert synchronous_step(DUARTE, region, tau, frozenset()) == frozenset()
 
     def test_duarte_north_west_infects(self):
         region = Region.rectangle(-1, 0, -1, 1)
-        tau = BoundaryCondition.uniform(region, 1)
+        tau = uniform_boundary(region, 1)
         seed = frozenset({(0, 1), (-1, 0)})
         out = synchronous_step(DUARTE, region, tau, seed)
         assert (0, 0) in out
 
     def test_full_region_is_fixed_point(self):
         region = Region.rectangle(0, 3, 0, 3)
-        tau = BoundaryCondition.uniform(region, 0)
+        tau = uniform_boundary(region, 0)
         assert synchronous_step(DUARTE, region, tau, region.sites) == region.sites
 
     def test_boundary_zeros_act_as_infection(self):
         region = Region([(0, 0)])
-        tau = BoundaryCondition.uniform(region, 0)
+        tau = uniform_boundary(region, 0)
         out = synchronous_step(DUARTE, region, tau, frozenset())
         assert out == {(0, 0)}
 
     def test_region_tau_mismatch(self):
         region = Region([(0, 0)])
         other = Region([(5, 5)])
-        tau = BoundaryCondition.uniform(other, 1)
+        tau = uniform_boundary(other, 1)
         with pytest.raises(ValueError, match="does not match"):
             synchronous_step(DUARTE, region, tau, frozenset())
 
@@ -111,7 +111,7 @@ class TestClosureRegion:
         interval = [(0, j) for j in range(6)]
         seed = set(interval) | {(1, 3)}
         region = Region.rectangle(0, 1, 0, 5)
-        tau = BoundaryCondition.uniform(region, 1)
+        tau = uniform_boundary(region, 1)
         closed = closure_region(DUARTE, region, tau, seed).closed
         assert all((1, j) in closed for j in range(6))
 
@@ -119,13 +119,13 @@ class TestClosureRegion:
         n, m = 5, 4
         seed = {(x, 1) for x in range(1, n + 1)} | {(1, y) for y in range(1, m + 1)}
         region = Region.rectangle(1, n, 1, m)
-        tau = BoundaryCondition.uniform(region, 1)
+        tau = uniform_boundary(region, 1)
         closed = closure_region(DUARTE, region, tau, seed).closed
         assert closed == region.sites
 
     def test_single_site_is_closed_under_duarte(self):
         region = Region.rectangle(-2, 2, -2, 2)
-        tau = BoundaryCondition.uniform(region, 1)
+        tau = uniform_boundary(region, 1)
         result = closure_region(DUARTE, region, tau, {(0, 0)})
         assert result.closed == {(0, 0)}
         assert result.rounds == 0
@@ -168,7 +168,7 @@ class TestClosureFree:
         # a Duarte closure stays in its seed's bounding box, so the box of
         # radius 8 with a healthy frame holds the whole closure
         region = Region.box(8)
-        tau = BoundaryCondition.uniform(region, 1)
+        tau = uniform_boundary(region, 1)
         for _ in range(40):
             seed = {
                 (int(rng.integers(-5, 6)), int(rng.integers(-5, 6)))
@@ -191,7 +191,7 @@ class TestClosureFree:
         result = closure_free(family, seed, cap)
         assert shapes == windows
         region = Region.box(cap)
-        tau = BoundaryCondition.uniform(region, 1)
+        tau = uniform_boundary(region, 1)
         closed, rounds = iterate_synchronous(family, region, tau, seed)
         touched = any(
             (x - dx, y - dy) not in region for x, y in closed for dx, dy in family.offsets()
@@ -271,7 +271,7 @@ class TestGridEngine:
         box = 6
         n = 2 * box + 1
         region = Region.box(box)
-        tau = BoundaryCondition.uniform(region, 1)
+        tau = uniform_boundary(region, 1)
         for _ in range(40):
             family = random_family(rng)
             empty = rng.random((n, n)) < 0.3

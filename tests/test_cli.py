@@ -189,6 +189,8 @@ class TestOutOfRangeInput:
          "q must lie in (0,1]"),
         (["sweep", "--kind", "kcm", "--family", "east1d", "--q", "1.5", "--box", "4"],
          "q=1.5 outside (0,1)"),
+        (["sweep", "--kind", "kcm", "--family", "duarte", "--q", "0.3", "--box", "0"],
+         "box must be >= 1"),
         (["duarte-phi", "--n-columns", "3", "--ell", "2", "--q", "1.5"],
          "q must lie in [0,1]"),
         (["duarte-phi", "--n-columns", "300", "--ell", "2"],
@@ -196,8 +198,8 @@ class TestOutOfRangeInput:
         (["bootstrap-time", "--family", "duarte", "--q", "0.2", "--box", "100000",
           "--trials", "1"],
          "box 100000 holds 40000400001 cells, above the limit of 134217728"),
-    ], ids=["kcm-run", "bootstrap-time", "sweep", "duarte-phi", "duarte-phi-oversized",
-            "bootstrap-time-oversized"])
+    ], ids=["kcm-run", "bootstrap-time", "sweep", "sweep-box", "duarte-phi",
+            "duarte-phi-oversized", "bootstrap-time-oversized"])
     def test_one_line_error(self, runner, tmp_path, args, message):
         with runner.isolated_filesystem(temp_dir=tmp_path):
             result = runner.invoke(main, args)

@@ -11,7 +11,7 @@ from kcmlab.geometry import (
 )
 
 from conftest import random_region
-from reference import Configuration, sample_bernoulli
+from reference import Configuration, sample_bernoulli, uniform_boundary
 
 
 def brute_force_boundaries(region):
@@ -84,8 +84,8 @@ class TestBoundaryCondition:
 
     def test_uniform_and_ordering(self):
         region = Region.rectangle(0, 2, 0, 2)
-        zero = BoundaryCondition.uniform(region, 0)
-        one = BoundaryCondition.uniform(region, 1)
+        zero = uniform_boundary(region, 0)
+        one = uniform_boundary(region, 1)
         assert zero.zeros == outer_boundary(region)
         assert one.zeros < zero.zeros
 
@@ -102,7 +102,7 @@ class TestConfiguration:
 
     def test_boundary_exterior(self):
         region = Region([(0, 0)])
-        bc = BoundaryCondition.uniform(region, 0)
+        bc = uniform_boundary(region, 0)
         config = Configuration(region, frozenset(), exterior=BoundaryExterior(bc))
         assert config.value_at((-1, 0)) == 0
         assert config.value_at((5, 5)) == 1

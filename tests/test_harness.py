@@ -9,13 +9,17 @@ from kcmlab.harness import (
     PREDICTORS,
     ExperimentConfig,
     csv_header_comment,
+    exact_region_report,
     exact_report,
     fit_scaling,
     medians_from_manifest,
     region_for,
     run_sweep,
 )
-from kcmlab.families import builtin_family
+from kcmlab.families import builtin_family, load_family
+from kcmlab.geometry import Region
+
+WEST = load_family('{"name":"west","rules":[[[1,0]]]}')
 
 
 class TestConfig:
@@ -30,6 +34,9 @@ class TestConfig:
             ExperimentConfig(kind="kcm", family="east1d", qs=[], box=4)
         with pytest.raises(ValueError):
             ExperimentConfig(kind="kcm", family="east1d", qs=[1.5], box=4)
+        for box in (0, -3):
+            with pytest.raises(ValueError, match="box must be >= 1"):
+                ExperimentConfig(kind="kcm", family="duarte", qs=[0.3], box=box)
 
     def test_header_comment(self):
         assert csv_header_comment(7) == f"# kcm-lab v{__version__} seed=7"
@@ -40,6 +47,10 @@ class TestConfig:
         square = region_for(builtin_family("duarte"), 3)
         assert (0, 0) in square.sites
         assert len(square.sites) == 9
+        # an axis that no rule offset reads is one site wide
+        south = load_family('{"name":"south","rules":[[[0,-1]]]}')
+        assert region_for(south, 4).sites == frozenset((0, y) for y in range(-3, 1))
+        assert region_for(WEST, 4).sites == frozenset((x, 0) for x in range(-3, 1))
 
 
 class TestSweep:
@@ -162,6 +173,14 @@ class TestExactReport:
             report = exact_report(fam, 4, q)
             assert report["ratio_check"] is True
             assert q * report["e_mu_tau0"] <= report["t_rel"] * (1 + 1e-12)
+
+    @pytest.mark.parametrize("q", [0.3, 0.07])
+    def test_west_row_hits_at_the_origins_own_rate(self, q):
+        # the origin, the row's east end, reads the empty exterior, so it is
+        # always legal: from an occupied start tau0 is exponential of rate q
+        report = exact_region_report(WEST, Region.corner(4, 1), q)
+        want = (1 - q) / q
+        assert abs(report["e_mu_tau0"] - want) <= 1e-12 * want
 
     def test_solvers_are_called_through_the_harness(self, monkeypatch):
         # the benchmark's traced run wraps the solvers under these names

@@ -29,9 +29,11 @@ from kcmlab.kcm import (
     summarize,
 )
 
+from conftest import random_region
 from reference import (
     Configuration,
     constraint_satisfied,
+    empty_frame,
     sample_state_at,
     simulate_persistence,
     simulate_tau0,
@@ -78,7 +80,7 @@ class TestDynamicsCompilation:
         # on a Duarte box neighbour k of a rule is not site k, unlike on an
         # East chain; the exact layer's bitmasks come from the same tables
         region = Region.rectangle(-3, 0, -3, 0)
-        exteriors = [ALL_HEALTHY, ALL_INFECTED, frozen_boundary_for(DUARTE, region)]
+        exteriors = [ALL_HEALTHY, ALL_INFECTED, empty_frame(region)]
         for exterior in exteriors:
             dyn = make_dynamics(SimParams(DUARTE, 0.5, region, exterior))
             masks = _site_masks(compile_rules(DUARTE, dyn.sites, exterior))
@@ -114,6 +116,18 @@ class TestDynamicsCompilation:
                 sites = sorted(region.sites)
                 got = compile_rules(family, sites, frozen_boundary_for(family, region))
                 assert got == compile_rules(family, sites, east_walls(family, region))
+
+    def test_empty_exterior_compiles_like_the_empty_frame(self, rng):
+        # the built-in rules read west, south and north neighbours, which
+        # outside a region lie in its parallel and perpendicular boundary
+        regions = [Region.corner(w, h) for w in range(1, 8) for h in range(1, 8)]
+        regions += [random_region(rng) for _ in range(300)]
+        for family in (EAST1, builtin_family("east2d"), DUARTE):
+            for region in regions:
+                assert frozen_boundary_for(family, region) is ALL_INFECTED
+                sites = sorted(region.sites)
+                got = compile_rules(family, sites, ALL_INFECTED)
+                assert got == compile_rules(family, sites, empty_frame(region))
 
     def test_healthy_exterior_drops_rules(self):
         region = Region([(0, 0)])
@@ -245,8 +259,8 @@ class TestAgainstMatrixExponential:
 
 
 class TestDuarteLaw:
-    """The engine against the exact chain on a 3x3 Duarte box with its
-    frozen boundary (512 states)."""
+    """The engine against the exact chain on a 3x3 Duarte box in the
+    empty exterior (512 states)."""
 
     REGION = Region.rectangle(-2, 0, -2, 0)
     BOUNDARY = frozen_boundary_for(DUARTE, REGION)
@@ -489,9 +503,8 @@ def test_segments_same_on_both_loops(monkeypatch):
 @pytest.mark.parametrize("loop", ["compiled", "lists"])
 def test_frozen_state_stops_at_once(monkeypatch, loop):
     """With no legal site the run stops at t_max with no ring and no draw:
-    a lone site under a healthy exterior, and the all-occupied state of a
-    family that reads only the east neighbour, whose east end reads the
-    healthy exterior beyond the frame."""
+    a lone site under a healthy exterior, and an all-occupied row under a
+    healthy exterior whose sites read only their east neighbour."""
     if loop == "compiled" and COMPILED_LOOP is kcm._event_loop_lists:
         pytest.skip("the compiled event loop could not be built")
     lone = Region([(0, 0)])
@@ -509,7 +522,7 @@ def test_frozen_state_stops_at_once(monkeypatch, loop):
     assert frozen >= 5
 
     box = Region.corner(4, 1)
-    params = SimParams(WEST, 0.3, box, frozen_boundary_for(WEST, box), seed=42)
+    params = SimParams(WEST, 0.3, box, ALL_HEALTHY, seed=42)
     start = np.ones(4, dtype=np.int8)
     state, streams = _on_loop(monkeypatch, LOOPS[loop], sample_state_at, params, 1e9,
                               initial_state=start)
