@@ -7,18 +7,17 @@ bit operations, one pass per site.  Detailed balance makes
 S = D^{1/2} (-L) D^{-1/2}, D = diag(mu), symmetric, and both solvers work on
 sparse S; no dense matrix is built.
 
-- The spectral gap is found after peeling sink sites, the sites whose
-  state no other site's legality reads.  Each sink splits the spectrum into
-  that of the chain without it and the lowest eigenvalue of a killed
-  operator on half the states, found by shift-invert Lanczos (ARPACK) about
-  0 with a SuperLU factorization in symmetric mode.  What does not peel is
-  split by a reflection of the chain, when it has one, into an even block,
-  whose second eigenvalue is taken by shift-invert about sigma < 0, and an
-  odd block, whose lowest one is (see ``spectral_gap``).  East chains peel
-  completely, so their largest factor has half their states.  Duarte boxes
-  have no sink, but their empty exterior and rules are symmetric under
-  the reflection about the middle row, so the largest factor again has
-  about half their states.
+- The spectral gap is found after splitting S by symmetric involutions
+  that commute with it, one routine (``_halves``) cutting each into its
+  +1 and -1 eigenspaces: first one per sink site, a site whose state no
+  other site's legality reads, then a reflection of the chain, when it
+  has one (see ``spectral_gap``).  Each -1 block gives its lowest
+  eigenvalue and the last +1 block its second, by shift-invert Lanczos
+  (ARPACK) with a SuperLU factorization in symmetric mode.  East chains
+  split at every site, so their largest block has half their states.
+  Duarte boxes have no sink, but their empty exterior and rules are
+  symmetric under the reflection about the middle row, so the largest
+  block again has about half their states.
 - Mean hitting times solve the symmetrized system on {origin occupied} with
   the same kind of factorization, checked by a relative backward error.
 - One undirected component labelling, ``_components``, serves the gap and
@@ -28,9 +27,9 @@ Both costs are those of the sparse factor, whose fill grows faster than the
 state count.  For East chains of 2^13 and 2^14 states at q = 0.3, gap plus
 hitting time take about 0.4 s and 1.8 s on one x86-64 core, with a peak
 process memory of about 0.08 and 0.15 GB.  On the 2^12 states of a Duarte
-3 x 4 box the gap takes about 0.15 s there: its two blocks of 2080 and 2016
-states factor with about 0.3 M nonzeros each, where the whole component
-took 1.4 M and about 0.45 s.
+3 x 4 box the gap takes about 0.15 s there: its odd and even blocks of
+2016 and 2080 states factor with about 0.3 M nonzeros each, where the
+whole component took 1.4 M and about 0.45 s.
 
 - Energy barriers and capped-vacancy reachability share one breadth-first
   search, ``_capped_search``, over the states with at most k empties
@@ -288,56 +287,56 @@ def _eigenpair(A: sp.spmatrix, k: int, sigma: float) -> Tuple[float, np.ndarray]
     return float(evals[j]), evecs[:, j]
 
 
+def _halves(partner: np.ndarray, a: float) -> Tuple[np.ndarray, sp.csc_matrix, sp.csc_matrix]:
+    """Orthonormal bases U+ and U- of the +1 and -1 eigenspaces of the
+    symmetric involution whose orbits are {s, t = partner[s]}, s <= t: on
+    an orbit of two states a e_s + b e_t goes in U+ and b e_s - a e_t in
+    U-, b = sqrt(1 - a^2); a fixed state's e_s goes in U+ only.  Returns
+    the states s, which index the columns of U+, then U+ and U-."""
+    m = len(partner)
+    lower = np.flatnonzero(np.arange(m) <= partner)
+    fixed = partner[lower] == lower
+    a = np.where(fixed, 1.0, a)
+    # 1 - a^2 without the cancellation of rounding a^2 when a is near 1
+    b = np.sqrt((1.0 - a) * (1.0 + a))
+
+    def basis(rows: np.ndarray, first: np.ndarray, second: np.ndarray) -> sp.csc_matrix:
+        # one column per orbit, first at its state s and second at partner[s]
+        return sp.csc_matrix(
+            (np.concatenate([first, second]),
+             (np.concatenate([rows, partner[rows]]), np.tile(np.arange(len(rows)), 2))),
+            shape=(m, len(rows)),
+        )
+
+    return lower, basis(lower, a, b), basis(lower[~fixed], b[~fixed], -a[~fixed])
+
+
 def spectral_gap(gen: GeneratorOperator) -> Dict[str, float]:
     """Smallest nonzero eigenvalue of -L on the ergodic component C of the
     all-occupied state, with a residual cross-check.
 
-    Sinks are peeled off before anything is factored.  A site i is a sink
-    when no other site's legality reads eta_i.  Write eta = (eta', eta_i),
-    let L' be the chain without i, C' the component of its all-occupied
-    state, c_i(eta') in {0, 1} the legality of i, and e(eta_i) = 1{i empty}
-    - q, so that the single-site generator maps e to -e and
-    mu_i(e) = 0.  The rates of the other sites do not read eta_i, so for
-    functions g, h of eta'
+    Let R be a symmetric involution that commutes with S and pairs each
+    state s with a state t = partner[s] (t = s when R fixes e_s), as in
+    ``_halves``.  Then R = U+ U+^T - U- U-^T, and S is block diagonal in
+    [U+ U-]: its spectrum is that of U+^T S U+ together with that of
+    U-^T S U-.  Two kinds of R are split off, each + block being the next
+    level's S:
 
-        L (g + h e) = L' g + (L' h - c_i h) e.
+    - a sink i, a site whose state no other site's legality reads, gives
+      R = D^{1/2} (2 Pi_i - 1) D^{-1/2}, Pi_i the mu_i-average over eta_i,
+      which commutes with L because no rate reads eta_i: s <-> s ^ (1 << i)
+      with a = sqrt(1 - q) on the occupied state;
+    - the reflection pi of ``_reflection``, which maps sinks to sinks and
+      so the last level to itself, gives s <-> pi(s) with a = 1/sqrt 2.
 
-    The projection onto functions of eta' therefore commutes with L, and
-    the spectrum of -L on C is the spectrum of -L' on C' together with that
-    of -L' + diag(c_i) on C'.  The second part is there only when c_i is
-    not identically 0 on C'; if it is, C = C' x {occupied}.  Symmetrized by
-    D^{1/2}, the second part is K = S' + diag(c_i), which is positive
-    definite (irreducible on C' with a nonzero killing), so one
-    shift-invert about 0 finds its lowest eigenvalue, and that eigenvalue
-    is simple.  An eigenvector h of K lifts to the eigenvector
-    (h / d)(eta') e(eta_i) of -L.
-
-    So sinks are peeled, highest first, until none is left: each level's S
-    is the slice of the level above on {eta_i occupied}, less the rate
-    q c_i at which i empties on its diagonal, and K is the same slice plus
-    (1 - q) c_i.
-
-    Whatever does not peel is split by a reflection pi of the chain
-    (``_reflection``): a permutation of the sites under which L is
-    invariant, so that the permutation P of states that it induces
-    commutes with S.  Whether a site is a sink is read off which sites'
-    legality reads which, and pi preserves that relation, so pi maps sinks
-    to sinks.  Peeling a site never turns a sink back into a non-sink, so
-    the peeled set does not depend on the order, and pi maps it to itself.
-    It also maps C to itself, because it fixes the all-occupied state.  So
-    P maps the last level's states to themselves and commutes with its S,
-    the q c_i taken off its diagonal included.  In the basis (e_s + e_{pi s}) / sqrt 2,
-    or e_s when pi fixes s, of even vectors, and (e_s - e_{pi s}) / sqrt 2
-    of odd ones, S is block diagonal.  The kernel of the last level's S is
-    spanned by its sqrt(mu), which is even, so the odd block is positive
-    definite and one shift-invert about 0 gives its lowest eigenvalue; the
-    even block takes its second eigenvalue by shift-invert about
-    sigma < 0.  A chain with no reflection takes the identity, whose even
-    block is all of S and whose odd block is empty.
-
-    The gap is the smallest of these candidates, and its eigenvector,
-    lifted through the block's basis and then to C (constant in every
-    other peeled site), is checked against the full L.
+    Sinks go highest first (``_peel_order``), then the reflection; a sink's
+    + block is S of the chain without it, in which the later sinks are still
+    sinks.  The kernel of S on C is spanned by sqrt(mu), which every R fixes,
+    so each - block is positive definite and one shift-invert about 0 gives
+    its lowest eigenvalue, and the last + block gives its second by
+    shift-invert about sigma < 0.  The gap is the smallest of these
+    candidates; its eigenvector, lifted through the stored U+ in reverse and
+    divided by D^{1/2}, is checked against the full L.
     """
     comp = ergodic_component(gen)
     m = len(comp)
@@ -346,44 +345,33 @@ def spectral_gap(gen: GeneratorOperator) -> Dict[str, float]:
     Lc = gen.L[comp][:, comp]
     mu_c = gen.mu[comp]
     S, d = _symmetrized(Lc, mu_c / mu_c.sum())
-    q = gen.q
     legal = _flip_table(gen.L, len(gen.sites))
-    # the level's states as masks over all sites, the peeled bits clear
-    states, peeled = comp, 0
-    # (eigenvalue, eigenvector of -L at its level, states, peeled, sink bit)
+    perm = _reflection(gen.sites, legal)
+    # a sink's occupied state, its bit clear, is the lower of its orbit
+    moves = [(np.sqrt(1.0 - gen.q), lambda s, bit=1 << i: s ^ bit) for i in _peel_order(legal)]
+    moves.append((np.sqrt(0.5), lambda s: _permute_states(s, perm)))
+    # the level's states as masks over all sites, the split-off sinks' bits clear
+    states = comp
+    ups: List[sp.csc_matrix] = []
+    # (eigenvalue, eigenvector of the level's S, level)
     candidates = []
-    for i in _peel_order(legal):
-        bit = 1 << i
-        keep = np.flatnonzero(states & bit == 0)
-        states, d, S = states[keep], d[keep], S[keep][:, keep]
-        peeled |= bit
-        c = legal[states, i]
-        if c.any():
-            lam, h = _eigenpair(S + sp.diags((1.0 - q) * c), 1, 0.0)
-            candidates.append((lam, h / d, states, peeled, bit))
-            S = S - sp.diags(q * c)
+    for a, move in moves:
+        image = move(states)
+        partner = np.searchsorted(states, image).clip(max=len(states) - 1)
+        partner = np.where(states[partner] == image, partner, np.arange(len(states)))
+        lower, plus, minus = _halves(partner, a)
+        if minus.shape[1]:
+            lam, h = _eigenpair(minus.T @ S @ minus, 1, 0.0)
+            candidates.append((lam, minus @ h, len(ups)))
+        ups.append(plus)
+        states, S = states[lower], plus.T @ S @ plus
     if len(states) >= 2:
-        own = np.arange(len(states))
-        image = np.searchsorted(states, _permute_states(states, _reflection(gen.sites, legal)))
-        # one basis vector per orbit {s, pi s}: a fixed state's two entries
-        # of 1/2 sum to 1
-        for first, sign, k in ((own <= image, 1.0, 2), (own < image, -1.0, 1)):
-            orbit = np.flatnonzero(first)
-            if len(orbit) < k:
-                continue
-            w = np.where(image[orbit] == orbit, 0.5, np.sqrt(0.5))
-            U = sp.csc_matrix(
-                (np.concatenate([w, sign * w]),
-                 (np.concatenate([orbit, image[orbit]]), np.tile(np.arange(len(orbit)), 2))),
-                shape=(len(states), len(orbit)),
-            )
-            B = (U.T @ S @ U).tocsc()
-            lam, h = _eigenpair(B, k, _SHIFT * float(B.diagonal().max()) if k == 2 else 0.0)
-            candidates.append((lam, (U @ h) / d, states, peeled, 0))
-    lam, g, states, peeled, bit = min(candidates, key=lambda t: t[0])
-    v = g[np.searchsorted(states, comp & ~peeled)]
-    if bit:
-        v = v * ((comp & bit != 0) - q)
+        lam, h = _eigenpair(S, 2, _SHIFT * float(S.diagonal().max()))
+        candidates.append((lam, h, len(ups)))
+    lam, v, level = min(candidates, key=lambda t: t[0])
+    for U in reversed(ups[:level]):
+        v = U @ v
+    v = v / d
     residual = float(np.max(np.abs(Lc @ v + lam * v)) / max(1.0, np.max(np.abs(v))))
     if residual > 1e-8:
         raise ArithmeticError(f"eigen residual {residual} exceeds tolerance")
@@ -422,10 +410,7 @@ def mean_hitting(gen: GeneratorOperator) -> Dict[str, object]:
     )
     if residual > 1e-10:
         raise ArithmeticError(f"hitting solve relative residual {residual} > 1e-10")
-    e_mu = float(np.dot(gen.mu[ac_idx], u))
-    per_state = np.zeros(len(gen.mu))
-    per_state[ac_idx] = u
-    return {"e_mu_tau0": e_mu, "per_state": per_state, "residual": residual}
+    return {"e_mu_tau0": float(np.dot(gen.mu[ac_idx], u)), "residual": residual}
 
 
 def _capped_search(

@@ -53,6 +53,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.box < 1:
             raise ValueError("box must be >= 1")
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ValueError(f"t_max must be finite and positive, got {self.t_max}")
         if not self.qs:
             raise ValueError("q list must be nonempty")
         for q in self.qs:
@@ -237,14 +239,20 @@ class FitReport:
 def fit_scaling(points: Sequence[Tuple[float, float]]) -> FitReport:
     """Least squares of log(time) against each predictor of q.
 
-    Nonpositive or nonfinite times are excluded (and counted); at least
-    three usable points are required.  The winner is the predictor with the
-    highest R², or "indeterminate" when even the best R² is below 0.5.
+    Every q must lie in (0, 1).  Nonpositive or nonfinite times are
+    excluded (and counted); at least three usable points, at two or more
+    distinct q, are required.  The winner is the predictor with the highest
+    R², or "indeterminate" when even the best R² is below 0.5.
     """
+    for q, _ in points:
+        if not 0.0 < q < 1.0:
+            raise ValueError(f"q must lie in (0,1), got {q}")
     usable = [(q, t) for q, t in points if math.isfinite(t) and t > 0]
     excluded = len(points) - len(usable)
     if len(usable) < 3:
         raise ValueError(f"need >= 3 usable points, have {len(usable)}")
+    if len({q for q, _ in usable}) < 2:
+        raise ValueError(f"need >= 2 distinct q, have only q={usable[0][0]}")
     y = np.array([math.log(t) for _, t in usable])
     fits: Dict[str, Dict[str, float]] = {}
     for name, fn in PREDICTORS.items():

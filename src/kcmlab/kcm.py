@@ -82,8 +82,8 @@ class SimParams:
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"q must lie in (0,1), got {self.q}")
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ValueError(f"t_max must be finite and positive, got {self.t_max}")
         if (0, 0) not in self.region.sites:
             raise ValueError("origin must lie in the region")
 
@@ -421,10 +421,12 @@ def observe_trajectory(
 ) -> None:
     """Call ``observer(t, state)`` at each grid time of one trajectory.
 
-    The grid must be nondecreasing from 0, and is checked whole before the
-    first segment runs; the observer sees the live state array and must not
-    mutate it.
+    The grid must be finite and nondecreasing from 0, and is checked whole
+    before the first segment runs; the observer sees the live state array
+    and must not mutate it.
     """
+    if not all(map(math.isfinite, time_grid)):
+        raise ValueError("time grid must be finite")
     if any(b < a for a, b in zip([0.0, *time_grid], time_grid)):
         raise ValueError("time grid must be nondecreasing from 0")
     if dyn is None:

@@ -198,8 +198,18 @@ class TestOutOfRangeInput:
         (["bootstrap-time", "--family", "duarte", "--q", "0.2", "--box", "100000",
           "--trials", "1"],
          "box 100000 holds 40000400001 cells, above the limit of 134217728"),
+        # a row whose origin is frozen while the row below it moves: with an
+        # unchecked t_max of nan its trial would never end
+        (["kcm-run", "--family", '{"name":"wb","rules":[[[-1,0],[1,0]]]}', "--box", "3x2",
+          "--q", "0.3", "--trials", "20", "--seed", "1", "--tmax", "nan"],
+         "t_max must be finite and positive, got nan"),
+        # refused before any cell runs, not written into the manifest
+        (["sweep", "--kind", "kcm", "--family", "east1d", "--q", "0.3", "--box", "4",
+          "--tmax", "inf"],
+         "t_max must be finite and positive, got inf"),
     ], ids=["kcm-run", "bootstrap-time", "sweep", "sweep-box", "duarte-phi",
-            "duarte-phi-oversized", "bootstrap-time-oversized"])
+            "duarte-phi-oversized", "bootstrap-time-oversized", "kcm-run-tmax-nan",
+            "sweep-tmax-inf"])
     def test_one_line_error(self, runner, tmp_path, args, message):
         with runner.isolated_filesystem(temp_dir=tmp_path):
             result = runner.invoke(main, args)
@@ -326,6 +336,17 @@ class TestSweepAndFit:
         assert lines[0].startswith("Error: ")
         assert "line 2" in lines[0] and "'q,time'" in lines[0]
         assert "trial,seed" in lines[0]
+
+    @pytest.mark.parametrize("rows, message", [
+        (["0.4,2", "0,3", "0.2,8"], "q must lie in (0,1), got 0.0"),
+        (["0.3,1", "0.3,2", "0.3,4"], "need >= 2 distinct q, have only q=0.3"),
+    ], ids=["q-zero", "one-q"])
+    def test_fit_bad_points_are_one_line_errors(self, runner, tmp_path, rows, message):
+        csv_path = tmp_path / "medians.csv"
+        csv_path.write_text("\n".join(["q,time", *rows]) + "\n")
+        result = runner.invoke(main, ["fit", "--input", str(csv_path)])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {message}\n"
 
     def test_sweep_partial_failure_exits_nonzero(self, runner, tmp_path):
         result = runner.invoke(

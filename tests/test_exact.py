@@ -18,6 +18,7 @@ from kcmlab.exact import (
     _constraint_bit,
     _eigenpair,
     _flip_table,
+    _halves,
     _peel_order,
     _reflection,
     _site_masks,
@@ -252,6 +253,48 @@ def east_gap_mpmath(length, q, digits=40):
     return sorted(mpmath.eigsy(S, eigvals_only=True))[1]
 
 
+class TestHalves:
+    """The bases that split S by an involution."""
+
+    def test_bases_are_orthonormal_and_split_an_involution(self, rng):
+        for m in (1, 2, 7, 40):
+            for _ in range(5):
+                order = rng.permutation(m)
+                pairs = order[: 2 * int(rng.integers(0, m // 2 + 1))].reshape(-1, 2)
+                partner = np.arange(m)
+                partner[pairs[:, 0]], partner[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+                a = float(rng.uniform(0.05, 0.95))
+                lower, plus, minus = _halves(partner, a)
+                assert list(lower) == [s for s in range(m) if s <= partner[s]]
+                assert minus.shape[1] == len(pairs)
+                Q = sp.hstack([plus, minus]).toarray()
+                assert Q.shape == (m, m)
+                assert np.allclose(Q.T @ Q, np.eye(m), rtol=0, atol=1e-15)
+                R = (plus @ plus.T - minus @ minus.T).toarray()
+                assert np.array_equal(R, R.T)
+                assert np.allclose(R @ R, np.eye(m), rtol=0, atol=1e-15)
+
+    def test_sink_blocks_are_the_peeled_chain(self):
+        q = 0.3
+        gen = east_chain_generator(8, q)
+        comp = ergodic_component(gen)
+        S, _ = _symmetrized(gen.L[comp][:, comp], gen.mu[comp] / gen.mu[comp].sum())
+        legal = _flip_table(gen.L, 8)
+        i = _peel_order(legal)[0]
+        image = comp ^ (1 << i)
+        lower, plus, minus = _halves(np.searchsorted(comp, image), np.sqrt(1 - q))
+        keep = np.flatnonzero(comp & (1 << i) == 0)
+        assert np.array_equal(lower, keep)
+        c = sp.diags(legal[comp[keep], i].astype(float))
+        want = S[keep][:, keep]
+        scale = abs(want).max()
+        # U+ is the chain without site i: the slice on {i occupied}, less
+        # the rate q c_i at which i empties
+        assert abs(plus.T @ S @ plus - (want - q * c)).max() <= 1e-14 * scale
+        # U- kills at rate c_i: the slice plus (1 - q) c_i
+        assert abs(minus.T @ S @ minus - (want + (1 - q) * c)).max() <= 1e-14 * scale
+
+
 class TestPeel:
     """Sinks peeled off before the factorization, against routes that peel
     nothing."""
@@ -340,8 +383,8 @@ class TestPeel:
     def test_duarte_box_has_no_sink(self, monkeypatch):
         gen = duarte_box_generator(3, 4, 0.3)
         assert _peel_order(_flip_table(gen.L, 12)) == []
-        # the y-reflection splits the 4096 states into even and odd blocks
-        assert self.factored_sizes(monkeypatch, gen) == [2080, 2016]
+        # the y-reflection splits the 4096 states into odd and even blocks
+        assert sorted(self.factored_sizes(monkeypatch, gen)) == [2016, 2080]
 
 
 def exteriors(region):
@@ -473,7 +516,10 @@ class TestMeanHitting:
         out = mean_hitting(gen)
         ac = np.flatnonzero(~gen.origin_empty)
         M = -gen.L[ac][:, ac]
-        u = out["per_state"][ac]
+        # the solve that mean_hitting makes, repeated: the same bits of u
+        S, d = _symmetrized(gen.L[ac][:, ac], gen.mu[ac])
+        u = exact._spd_factor(S).solve(d) / d
+        assert out["e_mu_tau0"] == float(np.dot(gen.mu[ac], u))
         m_norm = np.max(abs(M).sum(axis=1))
         want = np.max(np.abs(M @ u - 1)) / (m_norm * np.max(np.abs(u)) + 1)
         assert out["residual"] == pytest.approx(want, rel=1e-12)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,9 @@ class TestConfig:
         for box in (0, -3):
             with pytest.raises(ValueError, match="box must be >= 1"):
                 ExperimentConfig(kind="kcm", family="duarte", qs=[0.3], box=box)
+        for t_max in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="t_max must be finite and positive"):
+                ExperimentConfig(kind="kcm", family="duarte", qs=[0.3], box=4, t_max=t_max)
 
     def test_header_comment(self):
         assert csv_header_comment(7) == f"# kcm-lab v{__version__} seed=7"
@@ -154,6 +158,18 @@ class TestFits:
     def test_too_few_points(self):
         with pytest.raises(ValueError, match=">= 3"):
             fit_scaling([(0.3, 1.0), (0.2, 2.0)])
+
+    @pytest.mark.parametrize("q", [0.0, -0.2, 1.0, 1.5, math.nan])
+    def test_q_outside_unit_interval_is_named(self, q):
+        pts = [(0.5, 2.0), (0.4, 3.0), (q, 5.0), (0.2, 8.0)]
+        with pytest.raises(ValueError, match=rf"q must lie in \(0,1\), got {q}"):
+            fit_scaling(pts)
+
+    def test_one_distinct_q_is_rejected_before_fitting(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="need >= 2 distinct q, have only q=0.3"):
+                fit_scaling([(0.3, 1.0), (0.3, 2.0), (0.3, 4.0), (0.2, math.inf)])
 
     def test_medians_from_manifest_filters(self):
         manifest = {

@@ -345,6 +345,17 @@ class TestObservation:
             observe_trajectory(params, grid, lambda t, s: seen.append(t))
         assert seen == []
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_grid_rejected_before_any_observation(self, bad):
+        region = east_chain_region(3)
+        params = SimParams(
+            EAST1, 0.4, region, frozen_boundary_for(EAST1, region), t_max=10.0, seed=5
+        )
+        seen = []
+        with pytest.raises(ValueError, match="time grid must be finite"):
+            observe_trajectory(params, [0.0, 1.0, bad], lambda t, s: seen.append(t))
+        assert seen == []
+
     def test_initial_observation_matches_stationary_sample(self):
         region = east_chain_region(4)
         params = SimParams(
@@ -364,8 +375,9 @@ class TestValidation:
         region = Region([(0, 0)])
         with pytest.raises(ValueError):
             SimParams(EAST1, 0.0, region)
-        with pytest.raises(ValueError):
-            SimParams(EAST1, 0.5, region, t_max=0.0)
+        for t_max in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="t_max must be finite and positive"):
+                SimParams(EAST1, 0.5, region, t_max=t_max)
         with pytest.raises(ValueError, match="origin must lie in the region"):
             SimParams(EAST1, 0.5, Region([(1, 0), (2, 0)]))
 
