@@ -22,7 +22,7 @@ from .harness import (
     kcm_trials_csv,
     run_sweep,
 )
-from .kcm import backend
+from .native import backend
 
 
 class _Group(click.Group):

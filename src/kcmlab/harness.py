@@ -26,7 +26,8 @@ from .bootstrap import median_bootstrap_time
 from .exact import build_generator, mean_hitting, spectral_gap
 from .families import UpdateFamily, load_family
 from .geometry import Region
-from .kcm import BatchSummary, SimParams, backend, batch_tau0, frozen_boundary_for
+from .kcm import BatchSummary, SimParams, batch_tau0, frozen_boundary_for
+from .native import backend
 
 PREDICTORS = {
     "log_sq": lambda q: math.log(q) ** 2,

@@ -22,18 +22,12 @@ this order per ring: the waiting time, ``random_standard_exponential``
 times 1/m; if the ring falls past ``t_max``, nothing more, and the clock
 stops at ``t_max``; else the slot, ``random_bounded_uint64`` on [0, m-1];
 and the coin, ``next_double``.  The event loop that draws them is a small
-C function, ``_C_SOURCE``, called through ``ctypes`` once per trial (once
-per segment in ``observe_trajectory``) on the flat tables of ``Dynamics``
-(``table_ptrs``) and on the generator's ``bitgen_t``.  It draws through
-numpy's own distribution code, linked in statically from numpy's
-``random/lib/libnpyrandom.a``.  It is built on first import with the
-system ``gcc -O2 -shared -fPIC ... -lnpyrandom -lm`` into
-``$XDG_CACHE_HOME/kcmlab`` (else ``~/.cache/kcmlab``), under a name keyed
-by the sha256 of the source and numpy's version; the library is written to
-a temporary file and moved into place, so concurrent processes are safe,
-and later imports only load it.  If the compiler or numpy's library is
-missing, the build fails or the cache is not writable, one line on stderr
-says why and the pure-Python ``_event_loop_lists`` runs instead.
+C function, ``kcm_event_loop`` of the compiled library (``native``),
+called through ``ctypes`` once per trial (once per segment in
+``observe_trajectory``) on the flat tables of ``Dynamics``
+(``table_ptrs``) and on the generator's ``bitgen_t``; it draws through
+numpy's own distribution code, linked into the library.  If the library
+did not load, the pure-Python ``_event_loop_lists`` runs instead.
 ``_event_loop`` is whichever of the two runs.  The list loop reads the
 per-site tuples ``site_rules`` and ``site_deps`` and makes the same draws
 through ``Generator`` scalar calls (``standard_exponential``,
@@ -45,19 +39,15 @@ and the list loop is the compiled loop's test oracle.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import math
-import os
 import statistics
-import subprocess
-import sys
-import tempfile
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from . import native
 from .families import UpdateFamily, compile_dependents, compile_rules
 from .geometry import (
     ALL_HEALTHY,
@@ -189,170 +179,6 @@ def _event_loop_lists(state, site_rules, site_deps, origin, q, t, t_max, mode, r
             break
     state[:] = st
     return hit, (t if hit else t_max), events
-
-
-_C_SOURCE = r"""
-#include <stdbool.h>
-#include <stdint.h>
-
-/* numpy/random/bitgen.h, and two functions of numpy's distributions.h,
-   which cannot be included because it includes Python.h. */
-typedef struct bitgen {
-    void *state;
-    uint64_t (*next_uint64)(void *st);
-    uint32_t (*next_uint32)(void *st);
-    double (*next_double)(void *st);
-    uint64_t (*next_raw)(void *st);
-} bitgen_t;
-double random_standard_exponential(bitgen_t *bitgen_state);
-uint64_t random_bounded_uint64(bitgen_t *bitgen_state, uint64_t off, uint64_t rng,
-                               uint64_t mask, bool use_masked);
-
-/* Whether some rule of site i reads only empty sites. */
-static int legal_at(const int8_t *state, const int64_t *site_ptr, const int64_t *rule_ptr,
-                    const int64_t *neighbors, int64_t i)
-{
-    int64_t r, j;
-    for (r = site_ptr[i]; r < site_ptr[i + 1]; r++) {
-        for (j = rule_ptr[r]; j < rule_ptr[r + 1] && !state[neighbors[j]]; j++)
-            ;
-        if (j == rule_ptr[r + 1])
-            return 1;
-    }
-    return 0;
-}
-
-/* _event_loop_lists on the flat tables of Dynamics, drawing from g, with
-   the legal set in slots[0..m) and pos: clock holds t on entry and the
-   stop time on return, events receives the ring count, and 1 is returned
-   if the origin stopped the run.  Mode 0 is MODE_TAU0 and 1
-   MODE_PERSISTENCE. */
-int kcm_event_loop(int8_t *state, const int64_t *site_ptr, const int64_t *rule_ptr,
-                   const int64_t *neighbors, const int64_t *dep_ptr,
-                   const int64_t *dependents, int64_t *slots, int64_t *pos, int64_t n,
-                   int64_t origin, double q, double t_max, int mode, bitgen_t *g,
-                   double *clock, int64_t *events)
-{
-    double t = *clock;
-    int64_t m = 0, rings = 0, i, k;
-    int hit = 0;
-    for (i = 0; i < n; i++) {
-        pos[i] = -1;
-        if (legal_at(state, site_ptr, rule_ptr, neighbors, i)) {
-            pos[i] = m;
-            slots[m++] = i;
-        }
-    }
-    while (m > 0) {
-        double dt = random_standard_exponential(g) * (1.0 / m);
-        int8_t v;
-        if (t + dt > t_max)
-            break;
-        t += dt;
-        rings++;
-        i = slots[random_bounded_uint64(g, 0, m - 1, 0, 0)];
-        v = g->next_double(g->state) >= q;
-        if (v != state[i]) {
-            state[i] = v;
-            for (k = dep_ptr[i]; k < dep_ptr[i + 1]; k++) {
-                int64_t d = dependents[k], at = pos[d];
-                if (legal_at(state, site_ptr, rule_ptr, neighbors, d)) {
-                    if (at < 0) {
-                        pos[d] = m;
-                        slots[m++] = d;
-                    }
-                } else if (at >= 0) {
-                    int64_t last = slots[--m];
-                    slots[at] = last;
-                    pos[last] = at;
-                    pos[d] = -1;
-                }
-            }
-        }
-        if (i == origin && (mode == 1 || (mode == 0 && !v))) {
-            hit = 1;
-            break;
-        }
-    }
-    *clock = hit ? t : t_max;
-    *events = rings;
-    return hit;
-}
-"""
-
-
-def _library_name(numpy_version: str) -> str:
-    """File name of the compiled loop: numpy's random code is linked into
-    it, so the key covers numpy's version as well as the source."""
-    digest = hashlib.sha256((_C_SOURCE + numpy_version).encode()).hexdigest()[:16]
-    return f"kcm_loop-{digest}.so"
-
-
-def _build(compiler: Sequence[str], cache_dir: str, lib: str, npyrandom_dir: str) -> None:
-    """Compile ``_C_SOURCE`` against ``npyrandom_dir/libnpyrandom.a`` into a
-    temporary file in ``cache_dir``, then move it to ``lib``; raises
-    ``OSError`` naming the step that failed."""
-    archive = os.path.join(npyrandom_dir, "libnpyrandom.a")
-    if not os.path.isfile(archive):
-        raise OSError(f"numpy's random library {archive} is missing")
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".so.tmp")
-    except OSError as exc:
-        raise OSError(f"cache directory {cache_dir} is not writable: {exc}") from exc
-    os.close(fd)
-    try:
-        # no fused multiply-add, so that t + dt * (1/n) rounds as in Python
-        cmd = [*compiler, "-O2", "-ffp-contract=off", "-shared", "-fPIC", "-x", "c", "-",
-               "-o", tmp, f"-L{npyrandom_dir}", "-lnpyrandom", "-lm"]
-        try:
-            built = subprocess.run(cmd, input=_C_SOURCE, capture_output=True, text=True)
-        except OSError as exc:
-            raise OSError(f"cannot run compiler {compiler[0]!r}: {exc}") from exc
-        if built.returncode != 0:
-            detail = (built.stderr.strip().splitlines() or ["no output"])[0]
-            raise OSError(f"{compiler[0]} exited with status {built.returncode}: {detail}")
-        os.replace(tmp, lib)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
-def _load_event_loop(
-    compiler: Sequence[str] = ("gcc",),
-    cache_dir: Optional[str] = None,
-    npyrandom_dir: Optional[str] = None,
-):
-    """The compiled event loop from ``cache_dir`` (default
-    ``$XDG_CACHE_HOME/kcmlab``, else ``~/.cache/kcmlab``), built there first
-    against ``npyrandom_dir`` (default numpy's ``random/lib``) unless a
-    library for this source and numpy version exists; on any failure, one
-    line on stderr and ``_event_loop_lists``."""
-    if cache_dir is None:
-        base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-        cache_dir = os.path.join(base, "kcmlab")
-    if npyrandom_dir is None:
-        npyrandom_dir = os.path.join(os.path.dirname(np.__file__), "random", "lib")
-    lib = os.path.join(cache_dir, _library_name(np.__version__))
-    try:
-        if not os.path.exists(lib):
-            _build(compiler, cache_dir, lib, npyrandom_dir)
-        loop = ctypes.CDLL(lib).kcm_event_loop
-    except OSError as exc:
-        print(f"kcmlab: compiled event loop unavailable, using the Python loop: {exc}",
-              file=sys.stderr)
-        return _event_loop_lists
-    ptr = ctypes.c_void_p
-    loop.argtypes = [ptr] * 8 + [ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
-                                 ctypes.c_double, ctypes.c_int, ptr,
-                                 ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)]
-    loop.restype = ctypes.c_int
-    return loop
-
-
-def backend() -> str:
-    """``"c"`` when the compiled event loop runs, ``"python"`` otherwise."""
-    return "python" if _event_loop is _event_loop_lists else "c"
 
 
 def _ptr(a: np.ndarray):
@@ -508,4 +334,4 @@ def frozen_boundary_for(family: UpdateFamily, region: Region):
     return ALL_INFECTED
 
 
-_event_loop = _load_event_loop()
+_event_loop = _event_loop_lists if native.LIB is None else native.LIB.kcm_event_loop

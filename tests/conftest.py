@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kcmlab import bootstrap, kcm, native
 from kcmlab.families import UpdateFamily, builtin_family
 from kcmlab.geometry import BoundaryCondition, Region, outer_boundary
 
@@ -8,6 +9,14 @@ from kcmlab.geometry import BoundaryCondition, Region, outer_boundary
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def drop_library(monkeypatch):
+    """Put the program in the state of a process whose compiled library did
+    not load: ``backend()`` is "python" and both Python loops run."""
+    monkeypatch.setattr(native, "LIB", None)
+    monkeypatch.setattr(kcm, "_event_loop", kcm._event_loop_lists)
+    monkeypatch.setattr(bootstrap, "_kernel", None)
 
 
 def random_region(rng, max_extent=6):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kcmlab import bootstrap
+from kcmlab import bootstrap, native
 from kcmlab.bootstrap import (
     ClosureResult,
     bootstrap_time_on_grid,
@@ -15,7 +15,14 @@ from kcmlab.bootstrap import (
 from kcmlab.families import UpdateFamily, builtin_family
 from kcmlab.geometry import Region
 
-from conftest import random_family, random_region, random_seed_set, random_tau
+from conftest import (
+    drop_library,
+    random_family,
+    random_region,
+    random_seed_set,
+    random_tau,
+    random_two_rule_family,
+)
 from reference import duarte_path_exists, synchronous_step, uniform_boundary
 
 DUARTE = builtin_family("duarte")
@@ -23,6 +30,17 @@ EAST1 = builtin_family("east1d")
 EAST2 = builtin_family("east2d")
 LEFT = UpdateFamily.create("w", [[(1, 0)]])
 RECTANGLE = frozenset({(x, 0) for x in range(21)} | {(0, y) for y in range(19)})
+KERNEL = bootstrap._kernel
+
+
+def each_path(monkeypatch):
+    """Put each bootstrap path in place in turn and yield its name: the
+    compiled kernel, when the library loaded, then the numpy stepping."""
+    for name, kernel in (("compiled", KERNEL), ("numpy", None)):
+        if name == "compiled" and kernel is None:
+            continue
+        monkeypatch.setattr(bootstrap, "_kernel", kernel)
+        yield name
 
 
 def record_shapes(monkeypatch):
@@ -43,9 +61,9 @@ def record_windows(monkeypatch):
     shapes = []
     real_close = bootstrap._close
 
-    def recording_close(family, infected, inside=None):
+    def recording_close(family, infected, *args, **kwargs):
         shapes.append(infected.shape)
-        return real_close(family, infected, inside)
+        return real_close(family, infected, *args, **kwargs)
 
     monkeypatch.setattr(bootstrap, "_close", recording_close)
     return shapes
@@ -95,16 +113,16 @@ class TestSynchronousStep:
 
 
 class TestClosureRegion:
-    def test_queue_equals_synchronous_oracle(self, rng):
+    def test_queue_equals_synchronous_oracle(self, rng, monkeypatch):
         for _ in range(150):
             family = random_family(rng)
             region = random_region(rng)
             tau = random_tau(rng, region)
             seed = random_seed_set(rng, region, float(rng.choice([0.1, 0.3, 0.5])))
-            result = closure_region(family, region, tau, seed)
             closed, rounds = iterate_synchronous(family, region, tau, seed)
-            assert result.closed == closed
-            assert result.rounds == rounds
+            for path in each_path(monkeypatch):
+                result = closure_region(family, region, tau, seed)
+                assert (result.closed, result.rounds) == (closed, rounds), path
 
     def test_propagation_of_vertical_interval(self):
         # empty interval plus one empty site to its right fills the next column
@@ -187,17 +205,19 @@ class TestClosureFree:
     def test_matches_synchronous_iteration(self, monkeypatch, family, seed, cap, windows):
         # each restart of the growing search closes in one window; the
         # oracle is the synchronous iteration on the whole cap box
-        shapes = record_windows(monkeypatch)
-        result = closure_free(family, seed, cap)
-        assert shapes == windows
         region = Region.box(cap)
         tau = uniform_boundary(region, 1)
         closed, rounds = iterate_synchronous(family, region, tau, seed)
         touched = any(
             (x - dx, y - dy) not in region for x, y in closed for dx, dy in family.offsets()
         )
-        assert (result.closed, result.rounds) == (closed, rounds)
-        assert result.touched_cap is touched
+        shapes = record_windows(monkeypatch)
+        for path in each_path(monkeypatch):
+            shapes.clear()
+            result = closure_free(family, seed, cap)
+            assert shapes == windows, path
+            assert (result.closed, result.rounds) == (closed, rounds), path
+            assert result.touched_cap is touched, path
 
     def test_large_cap_costs_only_the_closure(self, monkeypatch):
         # the rectangle's closure stays in its seed's bounding box, so a cap
@@ -207,13 +227,15 @@ class TestClosureFree:
         assert shapes == [(53, 51), (53, 51)]
 
     def test_long_chain_costs_its_length(self, monkeypatch):
-        # the window grows along the chain only, and each step takes a box
-        # about the chain's tip: about 1.4e8 cells in all, where stepping
-        # the cap box every round would be 8192 * 16385^2, about 2.2e12
+        # the window grows along the chain only, and each numpy step takes a
+        # box about the chain's tip: about 1.4e8 cells in all, where
+        # stepping the cap box every round would be 8192 * 16385^2, about
+        # 2.2e12; the compiled kernel checks only the tip's readers
+        want = ClosureResult(frozenset((k, 0) for k in range(8193)), 8192, True)
         shapes = record_shapes(monkeypatch)
-        result = closure_free(EAST1, {(0, 0)}, cap=8192)
-        assert result == ClosureResult(frozenset((k, 0) for k in range(8193)), 8192, True)
-        assert sum(n * m for n, m in shapes) < 10**9
+        for path in each_path(monkeypatch):
+            assert closure_free(EAST1, {(0, 0)}, cap=8192) == want, path
+        assert 0 < sum(n * m for n, m in shapes) < 10**9
 
     def test_far_seed_closes_about_itself(self, monkeypatch):
         # the window lies about the seed, not the origin; a cell beyond the
@@ -318,7 +340,7 @@ class TestGridWindow:
     """bootstrap_time_on_grid steps only the origin's dependence window; the
     full-grid iteration of grid_step is its oracle."""
 
-    def test_matches_full_grid(self, rng):
+    def test_matches_full_grid(self, rng, monkeypatch):
         families = [EAST1, EAST2, DUARTE] + [random_family(rng) for _ in range(9)]
         for family in families:
             for _ in range(4):
@@ -326,11 +348,12 @@ class TestGridWindow:
                 empty = rng.random((n, m)) < float(rng.choice([0.05, 0.15, 0.3]))
                 for origin in edge_origins(n, m):
                     for max_steps in (None, 0, 1, 5, 64):
-                        got = bootstrap_time_on_grid(family, empty, origin, max_steps)
                         want = full_grid_time(family, empty, origin, max_steps)
-                        assert got == want, (family, origin, max_steps)
+                        for path in each_path(monkeypatch):
+                            got = bootstrap_time_on_grid(family, empty, origin, max_steps)
+                            assert got == want, (path, family, origin, max_steps)
 
-    def test_uncapped_long_and_censored(self, rng):
+    def test_uncapped_long_and_censored(self, rng, monkeypatch):
         # answers beyond the first cap of 16 make the window double; at low q
         # on a grid of 201^2 some origins are never infected
         n = 201
@@ -339,22 +362,29 @@ class TestGridWindow:
             for _ in range(2):
                 empty = rng.random((n, n)) < q
                 for origin in edge_origins(n, n):
-                    got = bootstrap_time_on_grid(family, empty, origin)
-                    assert got == full_grid_time(family, empty, origin), (family, origin)
-                    long_runs += got is not None and got > 16
-                    censored += got is None
+                    want = full_grid_time(family, empty, origin)
+                    for path in each_path(monkeypatch):
+                        got = bootstrap_time_on_grid(family, empty, origin)
+                        assert got == want, (path, family, origin)
+                    long_runs += want is not None and want > 16
+                    censored += want is None
         assert long_runs > 0 and censored > 0
 
     def test_duarte_steps_only_its_window(self, monkeypatch):
         # Duarte reads W, N and S: after 64 steps the origin depends on
-        # 64 columns to its west and 64 rows either side, none to its east;
-        # the first step takes that window, later ones the box of the front
-        shapes = record_shapes(monkeypatch)
+        # 64 columns to its west and 64 rows either side, none to its east,
+        # and that window is the one grid closed; the numpy stepping takes
+        # it whole at the first step and the box of the front after
         empty = np.zeros((513, 513), dtype=bool)
         empty[:, :200] = True
-        assert bootstrap_time_on_grid(DUARTE, empty, (256, 256), max_steps=64) is None
-        assert shapes[0] == (65, 129)
-        assert all(n <= 65 and m <= 129 for n, m in shapes[1:])
+        windows = record_windows(monkeypatch)
+        steps = record_shapes(monkeypatch)
+        for path in each_path(monkeypatch):
+            windows.clear()
+            assert bootstrap_time_on_grid(DUARTE, empty, (256, 256), max_steps=64) is None
+            assert windows == [(65, 129)], path
+        assert steps[0] == (65, 129)
+        assert all(n <= 65 and m <= 129 for n, m in steps[1:])
 
     def test_bad_input_rejected(self):
         grid = np.zeros((5, 5), dtype=bool)
@@ -365,6 +395,49 @@ class TestGridWindow:
                 bootstrap_time_on_grid(DUARTE, grid, origin)
         with pytest.raises(ValueError, match="max_steps"):
             bootstrap_time_on_grid(DUARTE, grid, (2, 2), max_steps=-1)
+        for dtype in ("float64", "int64", "uint8"):
+            with pytest.raises(ValueError, match=f"grid must be boolean, got dtype {dtype}"):
+                bootstrap_time_on_grid(DUARTE, grid.astype(dtype), (2, 2))
+
+
+class TestPaths:
+    """The compiled kernel against the numpy stepping, its oracle."""
+
+    @pytest.mark.skipif(KERNEL is None, reason="the compiled library did not load")
+    def test_kernel_matches_numpy_on_random_families(self, rng, monkeypatch):
+        # families of reach up to 3, grids with and without an inside mask,
+        # every edge origin as the target, with and without a step cap
+        for _ in range(60):
+            family = random_two_rule_family(rng, spread=3)
+            n, m = int(rng.integers(1, 25)), int(rng.integers(1, 25))
+            infected = rng.random((n, m)) < float(rng.choice([0.1, 0.3, 0.5]))
+            inside = None if rng.random() < 0.5 else rng.random((n, m)) < 0.8
+            for origin in [None] + edge_origins(n, m):
+                for max_steps in (None, 0, 1, 3):
+                    runs = []
+                    for path in each_path(monkeypatch):
+                        grid, rounds = bootstrap._close(family, infected, inside, origin, max_steps)
+                        runs.append((grid.dtype, grid.tobytes(), rounds))
+                    assert runs[0] == runs[1], (family, origin, max_steps)
+
+    def test_failed_build_runs_numpy(self, tmp_path, capsys, monkeypatch):
+        # a library that does not build: one line on stderr, the python
+        # backend, and the same closures and bootstrap times
+        def answers():
+            empty = np.random.default_rng(3).random((41, 41)) < 0.15
+            return (
+                [bootstrap_time_on_grid(DUARTE, empty, origin) for origin in edge_origins(41, 41)],
+                closure_free(DUARTE, RECTANGLE, cap=64),
+                closure_free(EAST2, {(0, 0), (3, -2), (-6, 4)}, cap=20),
+                median_bootstrap_time(DUARTE, 0.2, box=32, trials=10, seed=4),
+            )
+
+        want = answers()
+        assert native._load(("false",), str(tmp_path)) is None
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        drop_library(monkeypatch)
+        assert native.backend() == "python"
+        assert answers() == want
 
 
 class TestMedianBootstrapTime:

@@ -3,10 +3,12 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from kcmlab import kcm
+from kcmlab import native
 from kcmlab.cli import main
 from kcmlab.families import builtin_family
 from kcmlab.harness import exact_report
+
+from conftest import drop_library
 
 
 @pytest.fixture
@@ -121,10 +123,10 @@ class TestKcmRun:
         assert "median=" in summary
         events = sum(int(line.split(",")[5]) for line in lines[2:])
         assert f" events={events} " in summary
-        assert summary.endswith(f"backend={kcm.backend()}")
+        assert summary.endswith(f"backend={native.backend()}")
 
     def test_backend_names_the_fallback(self, runner, monkeypatch):
-        monkeypatch.setattr(kcm, "_event_loop", kcm._event_loop_lists)
+        drop_library(monkeypatch)
         result = invoke(
             runner,
             ["kcm-run", "--family", "east1d", "--q", "0.4", "--box", "4x1",
@@ -357,7 +359,7 @@ class TestSweepAndFit:
         assert result.exit_code == 1
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"] == "partial-failure"
-        assert manifest["backend"] == kcm.backend()
+        assert manifest["backend"] == native.backend()
         assert manifest["cells"][0]["error_type"] == "StateSpaceError"
 
 

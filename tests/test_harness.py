@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kcmlab import __version__, kcm
+from kcmlab import __version__, native
 from kcmlab.harness import (
     PREDICTORS,
     ExperimentConfig,
@@ -76,7 +76,7 @@ class TestSweep:
             events = sum(int(row.split(",")[5]) for row in lines[2:])
             assert cell["summary"]["events"] == events > 0
             assert cell["summary"]["events_per_s"] > 0
-        assert manifest["backend"] == kcm.backend()
+        assert manifest["backend"] == native.backend()
         assert manifest["backend"] in ("c", "python")
         on_disk = json.loads((tmp_path / "manifest.json").read_text())
         assert on_disk == manifest

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from kcmlab import kcm
+from kcmlab import kcm, native
 from kcmlab.exact import _constraint_bit, _site_masks, build_generator, mean_hitting
 from kcmlab.families import builtin_family, compile_rules, load_family
 from kcmlab.geometry import (
@@ -29,7 +29,7 @@ from kcmlab.kcm import (
     summarize,
 )
 
-from conftest import random_region
+from conftest import drop_library, random_region
 from reference import (
     Configuration,
     constraint_satisfied,
@@ -571,8 +571,7 @@ def test_ring_at_t_max_is_processed(monkeypatch, loop):
 
 class TestLoopLoader:
     def test_missing_compiler(self, tmp_path, capsys):
-        loop = kcm._load_event_loop(("kcmlab-no-such-cc",), str(tmp_path / "cache"))
-        assert loop is kcm._event_loop_lists
+        assert native._load(("kcmlab-no-such-cc",), str(tmp_path / "cache")) is None
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert "cannot run compiler 'kcmlab-no-such-cc'" in err[0]
@@ -580,40 +579,35 @@ class TestLoopLoader:
     def test_unwritable_cache(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
-        loop = kcm._load_event_loop(("gcc",), str(blocker / "kcmlab"))
-        assert loop is kcm._event_loop_lists
+        assert native._load(("gcc",), str(blocker / "kcmlab")) is None
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert "is not writable" in err[0]
 
     def test_failed_build(self, tmp_path, capsys):
-        loop = kcm._load_event_loop(("false",), str(tmp_path))
-        assert loop is kcm._event_loop_lists
+        assert native._load(("false",), str(tmp_path)) is None
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "false exited with status 1" in err[0]
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_numpy_library(self, tmp_path, capsys):
         missing = tmp_path / "no-numpy-lib"
-        loop = kcm._load_event_loop(("gcc",), str(tmp_path / "cache"), str(missing))
-        assert loop is kcm._event_loop_lists
+        assert native._load(("gcc",), str(tmp_path / "cache"), str(missing)) is None
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert str(missing / "libnpyrandom.a") in err[0]
         assert not (tmp_path / "cache").exists()
 
     def test_library_name_keyed_on_numpy_version(self):
-        assert kcm._library_name("2.4.6") != kcm._library_name("2.4.7")
+        assert native._library_name("2.4.6") != native._library_name("2.4.7")
 
     @COMPILED
     def test_cached_library_is_loaded(self, tmp_path, capsys):
-        first = kcm._load_event_loop(("gcc",), str(tmp_path))
+        assert native._load(("gcc",), str(tmp_path)) is not None
         built = list(tmp_path.iterdir())
-        assert first is not kcm._event_loop_lists
-        assert [b.name for b in built] == [kcm._library_name(np.__version__)]
+        assert [b.name for b in built] == [native._library_name(np.__version__)]
         # a second load finds the library and never runs the compiler
-        second = kcm._load_event_loop(("kcmlab-no-such-cc",), str(tmp_path))
-        assert second is not kcm._event_loop_lists
+        assert native._load(("kcmlab-no-such-cc",), str(tmp_path)) is not None
         assert capsys.readouterr().err == ""
 
     @COMPILED
@@ -621,7 +615,7 @@ class TestLoopLoader:
         outs = []
         for sub in ("c", "python"):
             if sub == "python":
-                monkeypatch.setattr(kcm, "_event_loop", kcm._event_loop_lists)
+                drop_library(monkeypatch)
             config = ExperimentConfig(
                 kind="kcm", family="duarte", qs=[0.45, 0.35], box=5, trials=12,
                 t_max=200.0, seed=6, out_dir=str(tmp_path / sub),
